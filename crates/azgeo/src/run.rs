@@ -3,8 +3,9 @@
 //!
 //! The shape mirrors `simload::run_open_loop` — a whole arrival
 //! schedule drawn up front from the dedicated `"geo.arrivals"` stream,
-//! one spawned task per arrival, coordinated-omission-free latency
-//! charged from the scheduled instant — but every op goes through the
+//! each op spawned at its instant by one `simload::inject` task,
+//! coordinated-omission-free latency charged from the scheduled
+//! instant — but every op goes through the
 //! [`GeoClient`](crate::set::GeoClient) front door, and the cell also
 //! runs the geo control plane: the replication shipper, the health
 //! monitor, and (optionally) the cross-stamp rebalancer.
@@ -21,9 +22,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use azstore::{StampConfig, StorageError};
+use azstore::StampConfig;
 use simcore::prelude::*;
-use simload::{ArrivalProcess, FailClass, SloTracker, Workload};
+use simfault::GiveUp;
+use simload::{classify, inject, ArrivalProcess, SloTracker, Workload};
 use simtrace::Layer;
 
 use crate::balance::spawn_rebalancer;
@@ -152,22 +154,20 @@ pub fn run_geo(sim: &Sim, base: StampConfig, cfg: &GeoConfig) -> GeoResult {
     let tracker = Rc::new(RefCell::new(SloTracker::new(cfg.deadline_s)));
     let drained = Rc::new(std::cell::Cell::new((0u64, 0u64)));
     let (warmup_s, horizon_s, deadline_s) = (cfg.warmup_s, horizon, cfg.deadline_s);
-    let mut in_window = 0u64;
-    for (i, &t) in instants.iter().enumerate() {
-        let measured = t >= cfg.warmup_s;
-        if measured {
-            in_window += 1;
-            tracker.borrow_mut().note_scheduled();
-        }
-        let s = sim.clone();
+    let in_window = instants.iter().filter(|&&t| t >= warmup_s).count() as u64;
+    tracker.borrow_mut().scheduled += in_window;
+    let s = sim.clone();
+    let workload = cfg.workload;
+    let (tr, dr) = (Rc::clone(&tracker), Rc::clone(&drained));
+    inject(sim, instants, move |a| {
+        let (i, t, sched) = (a.index, a.at_s, a.at);
+        let measured = t >= warmup_s;
+        let s = s.clone();
         let client = Rc::clone(&clients[i % clients.len()]);
         let account = accounts_of[i];
-        let tracker = Rc::clone(&tracker);
-        let drained = Rc::clone(&drained);
-        let workload = cfg.workload;
-        sim.spawn(async move {
-            let sched = SimTime::ZERO + SimDuration::from_secs_f64(t);
-            s.sleep_until(sched).await;
+        let tracker = Rc::clone(&tr);
+        let drained = Rc::clone(&dr);
+        async move {
             let sp = simtrace::span(Layer::Geo, "geo.op", || {
                 format!("geo:{}:a{account:04}", workload.name())
             });
@@ -187,11 +187,11 @@ pub fn run_geo(sim: &Sim, base: StampConfig, cfg: &GeoConfig) -> GeoResult {
                 let mut tr = tracker.borrow_mut();
                 match res {
                     Ok(()) => tr.record_ok(latency_s, done_s),
-                    Err(e) => tr.record_fail(classify(&e)),
+                    Err(e) => tr.record_fail(classify(&e, GiveUp::NotRetryable)),
                 }
             }
-        });
-    }
+        }
+    });
 
     spawn_shipper(&set, horizon);
     spawn_monitor(&set, horizon);
@@ -233,16 +233,6 @@ pub fn run_geo(sim: &Sim, base: StampConfig, cfg: &GeoConfig) -> GeoResult {
         moves: decisions.iter().filter(|d| d.contains(" move ")).count() as u64,
         decisions,
         placement_fingerprint: set.location().fingerprint(),
-    }
-}
-
-/// Map a geo-op error to its SLO failure class (no client retries in
-/// geo cells, so budget exhaustion cannot occur).
-fn classify(e: &StorageError) -> FailClass {
-    match e {
-        StorageError::ServerBusy => FailClass::Shed,
-        StorageError::Timeout => FailClass::Timeout,
-        _ => FailClass::Other,
     }
 }
 

@@ -4,8 +4,9 @@
 //! The shape mirrors `azgeo::run::run_geo` — arrival schedules drawn up
 //! front from dedicated RNG streams (`"route.arrivals"` for reads,
 //! `"route.writes"` for the mutation stream that feeds the replication
-//! logs), one spawned task per arrival, coordinated-omission-free
-//! latency charged from the scheduled instant — but every read goes
+//! logs), each stream's ops spawned at their instants by one
+//! `simload::inject` task, coordinated-omission-free latency charged
+//! from the scheduled instant — but every read goes
 //! through the [`RouteClient`](crate::route::RouteClient) consistency
 //! router, and every successful read's *observed staleness* lands in
 //! the SLO tracker's staleness stream.
@@ -25,10 +26,11 @@ use std::rc::Rc;
 use azgeo::calib;
 use azgeo::failover::spawn_monitor;
 use azgeo::set::{spawn_shipper, GeoSet};
-use azstore::{StampConfig, StorageError};
+use azstore::StampConfig;
 use dcnet::RegionRtt;
 use simcore::prelude::*;
-use simload::{ArrivalProcess, FailClass, SloTracker, Workload};
+use simfault::GiveUp;
+use simload::{classify, inject, ArrivalProcess, SloTracker, Workload};
 use simtrace::Layer;
 
 use crate::consistency::Consistency;
@@ -241,32 +243,36 @@ pub fn run_consistency(sim: &Sim, base: StampConfig, cfg: &RouteConfig) -> Route
     let drained = Rc::new(std::cell::Cell::new((0u64, 0u64)));
     let rto_good = Rc::new(std::cell::Cell::new(0u64));
     let (warmup_s, horizon_s, deadline_s) = (cfg.warmup_s, horizon, cfg.deadline_s);
-    let mut in_window = 0u64;
-    for (i, &t) in instants.iter().enumerate() {
-        let measured = t >= cfg.warmup_s;
-        if measured {
-            in_window += 1;
-            tracker.borrow_mut().note_scheduled();
-        }
-        let s = sim.clone();
-        let client = Rc::clone(&clients[i % clients.len()]);
-        let account = accounts_of_vm[i % clients.len()];
-        let tracker = Rc::clone(&tracker);
-        let drained = Rc::clone(&drained);
-        let rto_good = Rc::clone(&rto_good);
-        let workload = cfg.workload;
-        let mode_name = {
-            use crate::consistency::ReadPolicy;
-            cfg.mode.name()
-        };
+    let in_window = instants.iter().filter(|&&t| t >= warmup_s).count() as u64;
+    tracker.borrow_mut().scheduled += in_window;
+    let mode_name = {
+        use crate::consistency::ReadPolicy;
+        cfg.mode.name()
+    };
+    let s = sim.clone();
+    let workload = cfg.workload;
+    let readers = clients.clone();
+    let reader_accounts = accounts_of_vm.clone();
+    let (tr, dr, rg) = (
+        Rc::clone(&tracker),
+        Rc::clone(&drained),
+        Rc::clone(&rto_good),
+    );
+    inject(sim, instants, move |a| {
+        let (i, t, sched) = (a.index, a.at_s, a.at);
+        let measured = t >= warmup_s;
+        let s = s.clone();
+        let client = Rc::clone(&readers[i % readers.len()]);
+        let account = reader_accounts[i % readers.len()];
+        let tracker = Rc::clone(&tr);
+        let drained = Rc::clone(&dr);
+        let rto_good = Rc::clone(&rg);
         // Availability is judged by *scheduled* instant: a read that
         // arrives inside the RTO window and succeeds counts, however
         // long it takes — a strong read arriving there hits the down
         // check immediately and can never count.
         let in_rto_window = rto_window.is_some_and(|(w0, w1)| (w0..w1).contains(&t));
-        sim.spawn(async move {
-            let sched = SimTime::ZERO + SimDuration::from_secs_f64(t);
-            s.sleep_until(sched).await;
+        async move {
             let sp = simtrace::span(Layer::Route, "route.read", || {
                 format!("route:{mode_name}:a{account:04}")
             });
@@ -295,11 +301,11 @@ pub fn run_consistency(sim: &Sim, base: StampConfig, cfg: &RouteConfig) -> Route
                         tr.record_ok(latency_s, done_s);
                         tr.record_staleness(out.staleness_s);
                     }
-                    Err(e) => tr.record_fail(classify(&e)),
+                    Err(e) => tr.record_fail(classify(&e, GiveUp::NotRetryable)),
                 }
             }
-        });
-    }
+        }
+    });
 
     // Background writers: Poisson mutations round-robin over the same
     // clients (each writes its own account), feeding the replication
@@ -307,16 +313,14 @@ pub fn run_consistency(sim: &Sim, base: StampConfig, cfg: &RouteConfig) -> Route
     if cfg.write_ops_s > 0.0 {
         let mut wrng = sim.rng("route.writes");
         let writes = ArrivalProcess::Poisson.instants(&mut wrng, cfg.write_ops_s, horizon);
-        for (k, &t) in writes.iter().enumerate() {
-            let s = sim.clone();
+        inject(sim, writes, move |a| {
+            let k = a.index;
             let client = Rc::clone(&clients[k % clients.len()]);
             let account = accounts_of_vm[k % clients.len()];
-            sim.spawn(async move {
-                let sched = SimTime::ZERO + SimDuration::from_secs_f64(t);
-                s.sleep_until(sched).await;
+            async move {
                 let _ = client.write(account, 512.0, k).await;
-            });
-        }
+            }
+        });
     }
 
     spawn_shipper(&set, horizon);
@@ -347,15 +351,6 @@ pub fn run_consistency(sim: &Sim, base: StampConfig, cfg: &RouteConfig) -> Route
         rto_s: set.stats.rto_s.get(),
         route_fingerprint: stats.fingerprint.get(),
         rtt_fingerprint: rtt.fingerprint(),
-    }
-}
-
-/// Map a routed-read error to its SLO failure class.
-fn classify(e: &StorageError) -> FailClass {
-    match e {
-        StorageError::ServerBusy => FailClass::Shed,
-        StorageError::Timeout => FailClass::Timeout,
-        _ => FailClass::Other,
     }
 }
 

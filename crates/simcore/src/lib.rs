@@ -48,7 +48,9 @@ pub mod stats;
 pub mod sync;
 pub mod time;
 
-pub use sim::{Delay, EventHandle, JoinHandle, KernelEvent, KernelHook, KernelHookId, Sim};
+pub use sim::{
+    Delay, EventHandle, JoinHandle, KernelEvent, KernelHook, KernelHookId, ReservedSleep, Sim,
+};
 pub use time::{SimDuration, SimTime};
 
 /// One-stop imports for model code.

@@ -196,7 +196,14 @@ impl Sim {
     }
 
     fn push_event(&self, at: SimTime, action: Action) -> EventHandle {
-        debug_assert!(
+        let seq = self.next_seq();
+        self.push_entry(at, seq, action)
+    }
+
+    /// Insert one heap entry. Checked in release builds too: an event in
+    /// the past would silently move the clock backwards.
+    fn push_entry(&self, at: SimTime, seq: u64, action: Action) -> EventHandle {
+        assert!(
             at >= self.now(),
             "event scheduled in the past: {at:?} < {:?}",
             self.now()
@@ -204,11 +211,23 @@ impl Sim {
         let cancelled = Rc::new(Cell::new(false));
         self.inner.heap.borrow_mut().push(EventEntry {
             at,
-            seq: self.next_seq(),
+            seq,
             cancelled: Rc::clone(&cancelled),
             action,
         });
         EventHandle { cancelled }
+    }
+
+    /// Reserve a block of `n` consecutive sequence numbers and return the
+    /// first. Events later scheduled with them (through
+    /// [`sleep_until_reserved`](Self::sleep_until_reserved)) order
+    /// among same-instant events as if they had been scheduled now — how
+    /// an arrival injector holds each future arrival's place in the
+    /// `(time, seq)` order without keeping one heap entry per arrival.
+    pub fn reserve_seqs(&self, n: u64) -> u64 {
+        let first = self.inner.seq.get();
+        self.inner.seq.set(first + n);
+        first
     }
 
     /// Schedule `f` to run at absolute time `at`.
@@ -257,6 +276,25 @@ impl Sim {
             sim: self.clone(),
             deadline,
             event: None,
+        }
+    }
+
+    /// Future that completes at `deadline` through a wake event carrying
+    /// `seq`, a number taken earlier from
+    /// [`reserve_seqs`](Self::reserve_seqs). Unlike [`Delay`] it always
+    /// goes through its event, even when `deadline` is already now: the
+    /// reserved slot in the `(time, seq)` order is the point. It cannot
+    /// be cancelled, so only a task that awaits it to the end may use it.
+    pub fn sleep_until_reserved(&self, deadline: SimTime, seq: u64) -> ReservedSleep {
+        assert!(
+            seq < self.inner.seq.get(),
+            "sequence number {seq} was never reserved"
+        );
+        ReservedSleep {
+            sim: self.clone(),
+            deadline,
+            seq,
+            armed: false,
         }
     }
 
@@ -392,6 +430,28 @@ impl Drop for Delay {
         if let Some(ev) = &self.event {
             ev.cancel();
         }
+    }
+}
+
+/// Future returned by [`Sim::sleep_until_reserved`].
+pub struct ReservedSleep {
+    sim: Sim,
+    deadline: SimTime,
+    seq: u64,
+    armed: bool,
+}
+
+impl Future for ReservedSleep {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        if self.armed {
+            return Poll::Ready(());
+        }
+        self.armed = true;
+        let action = Action::Wake(cx.waker().clone());
+        self.sim.push_entry(self.deadline, self.seq, action);
+        Poll::Pending
     }
 }
 
@@ -561,6 +621,61 @@ mod tests {
             sim.trace_fingerprint()
         }
         assert_eq!(build_and_run(), build_and_run());
+    }
+
+    #[test]
+    #[should_panic(expected = "event scheduled in the past")]
+    fn scheduling_in_the_past_panics() {
+        let sim = Sim::new(1);
+        sim.schedule_at(SimTime::from_nanos(10), |_| {});
+        sim.run();
+        sim.schedule_at(SimTime::from_nanos(9), |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "event scheduled in the past")]
+    fn reserved_wake_in_the_past_panics() {
+        let sim = Sim::new(1);
+        sim.schedule_at(SimTime::from_nanos(10), |_| {});
+        sim.run();
+        let seq = sim.reserve_seqs(1);
+        let s = sim.clone();
+        sim.spawn(async move { s.sleep_until_reserved(SimTime::from_nanos(9), seq).await });
+        sim.run();
+    }
+
+    #[test]
+    fn reserved_seqs_keep_their_place_among_ties() {
+        let sim = Sim::new(1);
+        let log: Rc<RefCell<Vec<&'static str>>> = Rc::default();
+        let at = SimTime::from_nanos(10);
+        let l = log.clone();
+        sim.schedule_at(at, move |_| l.borrow_mut().push("before"));
+        let seq = sim.reserve_seqs(2);
+        let l = log.clone();
+        sim.schedule_at(at, move |_| l.borrow_mut().push("after"));
+        // Armed last, yet fires in its reserved slots; a reserved wake
+        // due right now still goes through its event.
+        let (s, l) = (sim.clone(), log.clone());
+        sim.spawn(async move {
+            s.sleep_until_reserved(at, seq).await;
+            l.borrow_mut().push("reserved-0");
+            s.sleep_until_reserved(at, seq + 1).await;
+            l.borrow_mut().push("reserved-1");
+        });
+        sim.run();
+        assert_eq!(
+            *log.borrow(),
+            vec!["before", "reserved-0", "reserved-1", "after"]
+        );
+        assert_eq!(sim.events_fired(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "never reserved")]
+    fn unreserved_seq_is_rejected() {
+        let sim = Sim::new(1);
+        let _ = sim.sleep_until_reserved(SimTime::ZERO, 0);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! under overload the *offered* rate politely backs off and the
 //! measured latency hides the queueing a real workload would see. The
 //! open-loop fleet instead fires each operation at its *scheduled*
-//! arrival instant — one spawned task per arrival, sleeping until the
-//! instant drawn by the [`ArrivalProcess`](crate::ArrivalProcess) —
+//! arrival instant — drawn by the
+//! [`ArrivalProcess`](crate::ArrivalProcess), the op spawned there by
+//! one [`inject`] task for the whole schedule —
 //! and charges latency from that scheduled instant. An op that waits
 //! behind a saturated service pays its full queueing delay, which is
 //! what makes the offered-load frontier honest past the knee.
@@ -24,6 +25,7 @@ use simfault::{Backoff, GiveUp, Jitter, RetryBudget, RetryPolicy};
 use simtrace::Layer;
 
 use crate::arrival::ArrivalProcess;
+use crate::inject::inject;
 use crate::slo::{FailClass, SloTracker};
 
 /// Number of table partitions the seeded benchmark entities spread
@@ -167,10 +169,10 @@ pub struct LoadCellResult {
 ///
 /// Builds a standalone stamp, seeds the workload's data, attaches the
 /// fleet, draws the whole arrival schedule from the dedicated
-/// `"load.arrivals"` stream, and spawns one task per arrival. Every
-/// latency is measured from the scheduled instant (no coordinated
-/// omission); arrivals scheduled during warmup execute but are not
-/// recorded.
+/// `"load.arrivals"` stream, and injects each arrival's op at its
+/// instant ([`inject`]). Every latency is
+/// measured from the scheduled instant (no coordinated omission);
+/// arrivals scheduled during warmup execute but are not recorded.
 pub fn run_open_loop(sim: &Sim, stamp_cfg: StampConfig, cfg: &LoadConfig) -> LoadCellResult {
     assert!(cfg.fleet > 0, "fleet must be non-empty");
     assert!(cfg.window_s > 0.0, "window must be positive");
@@ -204,25 +206,26 @@ pub fn run_open_loop(sim: &Sim, stamp_cfg: StampConfig, cfg: &LoadConfig) -> Loa
             .collect()
     });
     let retries_total = Rc::new(std::cell::Cell::new(0u64));
+    let in_window = instants.iter().filter(|&&t| t >= cfg.warmup_s).count() as u64;
+    tracker.borrow_mut().scheduled += in_window;
     let (warmup_s, horizon_s, deadline_s) = (cfg.warmup_s, horizon, cfg.deadline_s);
-    let mut in_window = 0u64;
-    for (i, &t) in instants.iter().enumerate() {
-        let measured = t >= cfg.warmup_s;
-        if measured {
-            in_window += 1;
-            tracker.borrow_mut().note_scheduled();
-        }
-        let s = sim.clone();
+    let (shed_retry, workload) = (cfg.shed_retry, cfg.workload);
+    let s = sim.clone();
+    let (tr, dr, rt) = (
+        Rc::clone(&tracker),
+        Rc::clone(&drained),
+        Rc::clone(&retries_total),
+    );
+    inject(sim, instants, move |a| {
+        let (i, t, sched) = (a.index, a.at_s, a.at);
+        let measured = t >= warmup_s;
+        let s = s.clone();
         let client = Rc::clone(&clients[i % clients.len()]);
-        let tracker = Rc::clone(&tracker);
-        let drained = Rc::clone(&drained);
-        let retries_total = Rc::clone(&retries_total);
+        let tracker = Rc::clone(&tr);
+        let drained = Rc::clone(&dr);
+        let retries_total = Rc::clone(&rt);
         let budget = budgets.as_ref().map(|b| Rc::clone(&b[i % clients.len()]));
-        let shed_retry = cfg.shed_retry;
-        let workload = cfg.workload;
-        sim.spawn(async move {
-            let sched = SimTime::ZERO + SimDuration::from_secs_f64(t);
-            s.sleep_until(sched).await;
+        async move {
             let sp = simtrace::span(Layer::Load, "load.op", || {
                 format!("load:{}", workload.name())
             });
@@ -288,8 +291,8 @@ pub fn run_open_loop(sim: &Sim, stamp_cfg: StampConfig, cfg: &LoadConfig) -> Loa
                     Err((e, giveup)) => tr.record_fail(classify(&e, giveup)),
                 }
             }
-        });
-    }
+        }
+    });
     sim.run();
 
     let slo = Rc::try_unwrap(tracker)
@@ -355,7 +358,7 @@ impl LoadObserver {
     }
 }
 
-/// Spawn one task per arrival, shifted `offset_s` into the future, with
+/// Inject one op per arrival, shifted `offset_s` into the future, with
 /// latency charged from the shifted scheduled instant (coordinated-
 /// omission-free, like [`run_open_loop`]). Every arrival is recorded in
 /// `tracker`; `observer` counts progress for an external control loop.
@@ -374,21 +377,24 @@ pub fn spawn_arrivals(
     observer: &Rc<LoadObserver>,
 ) {
     assert!(!clients.is_empty(), "fleet must be non-empty");
-    for (i, &t) in instants.iter().enumerate() {
-        tracker.borrow_mut().note_scheduled();
-        let s = sim.clone();
+    tracker.borrow_mut().scheduled += instants.len() as u64;
+    let s = sim.clone();
+    let clients = clients.to_vec();
+    let (tracker, observer) = (Rc::clone(tracker), Rc::clone(observer));
+    let shifted = instants.iter().map(|t| offset_s + t).collect();
+    inject(sim, shifted, move |a| {
+        let (i, t, sched) = (a.index, a.at_s, a.at);
+        let s = s.clone();
         let client = Rc::clone(&clients[i % clients.len()]);
-        let tracker = Rc::clone(tracker);
-        let observer = Rc::clone(observer);
-        sim.spawn(async move {
-            let sched = SimTime::ZERO + SimDuration::from_secs_f64(offset_s + t);
-            s.sleep_until(sched).await;
+        let tracker = Rc::clone(&tracker);
+        let observer = Rc::clone(&observer);
+        async move {
             observer.dispatched.set(observer.dispatched.get() + 1);
             let sp = simtrace::span(Layer::Load, "load.op", || {
                 format!("load:{}", workload.name())
             });
-            sp.attr("sched_s", format!("{:.6}", offset_s + t));
-            azstore::admit::stash_deadline(offset_s + t + deadline_s);
+            sp.attr("sched_s", format!("{t:.6}"));
+            azstore::admit::stash_deadline(t + deadline_s);
             let res = fire(Rc::clone(&client), workload, i).await;
             let latency_s = (s.now() - sched).as_secs_f64();
             let ok = res.is_ok();
@@ -410,8 +416,8 @@ pub fn spawn_arrivals(
                     tr.record_fail(classify(&e, GiveUp::NotRetryable));
                 }
             }
-        });
-    }
+        }
+    });
 }
 
 /// Fire one workload op; discard the payload-specific success value.
@@ -436,8 +442,9 @@ pub async fn fire(
     }
 }
 
-/// Map a final error + give-up reason to its SLO failure class.
-fn classify(e: &StorageError, giveup: GiveUp) -> FailClass {
+/// Map a final error + give-up reason to its SLO failure class. Callers
+/// without client retries pass [`GiveUp::NotRetryable`].
+pub fn classify(e: &StorageError, giveup: GiveUp) -> FailClass {
     match (e, giveup) {
         (StorageError::ServerBusy, GiveUp::BudgetExhausted) => FailClass::BudgetExhausted,
         (StorageError::ServerBusy, _) => FailClass::Shed,

@@ -25,13 +25,15 @@
 
 pub mod arrival;
 pub mod fleet;
+pub mod inject;
 pub mod observe;
 pub mod slo;
 
 pub use arrival::ArrivalProcess;
 pub use fleet::{
-    fire, run_open_loop, seed_workload, spawn_arrivals, LoadCellResult, LoadConfig, LoadObserver,
-    ShedRetry, Workload,
+    classify, fire, run_open_loop, seed_workload, spawn_arrivals, LoadCellResult, LoadConfig,
+    LoadObserver, ShedRetry, Workload,
 };
+pub use inject::{inject, Arrival};
 pub use observe::WindowedArrivals;
 pub use slo::{FailClass, SloTracker};
