@@ -32,13 +32,15 @@
 //! serve; provisioning instances bill but do not serve — exactly the
 //! 10-minute tax the paper's Table 1 measures.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use azstore::{AdmissionConfig, CapacityScale, StampConfig, StorageAccountClient, StorageStamp};
 use fabric::{DeploymentSpec, FabricConfig, FabricController, HostPoolConfig, RoleType, VmSize};
 use simcore::prelude::*;
-use simload::{seed_workload, spawn_arrivals, ArrivalProcess, LoadObserver, SloTracker, Workload};
+use simload::{
+    fire_once, seed_workload, ArrivalProcess, OpenLoop, OpenLoopCell, SloTracker, Workload,
+};
+use simtrace::Layer;
 
 use crate::actuator::Actuator;
 use crate::harness::{Decision, Harness};
@@ -357,24 +359,31 @@ pub fn run_elastic(sim: &Sim, cfg: &ElasticConfig) -> ElasticResult {
         .collect();
 
     // Demand first: the schedule must not depend on anything the
-    // policy does, so it is drawn before any fabric randomness.
-    let mut arr_rng = sim.rng("load.arrivals");
-    let instants = cfg.pattern.instants(&mut arr_rng, rate, cfg.horizon_s);
+    // policy does, so it is drawn before any fabric randomness. The
+    // window opens when the arrivals start, so every one is recorded.
+    let cell = OpenLoopCell {
+        stream: "load.arrivals",
+        process: &cfg.pattern,
+        rate_ops_s: rate,
+        offset_s: cfg.setup_s,
+        warmup_s: cfg.setup_s,
+        window_s: cfg.horizon_s,
+        deadline_s,
+        layer: Layer::Load,
+        kind: "load.op",
+    };
+    let instants = cell.draw(sim);
     let windows =
         simload::WindowedArrivals::new(&instants, cfg.setup_s, cfg.obs_window_s, cfg.horizon_s);
 
-    let tracker = Rc::new(RefCell::new(SloTracker::new(deadline_s)));
-    let observer = Rc::new(LoadObserver::default());
-    spawn_arrivals(
-        sim,
-        &clients,
-        workload,
-        &instants,
-        cfg.setup_s,
-        deadline_s,
-        &tracker,
-        &observer,
-    );
+    // Sheds fail the op outright (no client retries): an elastic
+    // controller is expected to buy capacity, not paper over the
+    // shortfall with retry storms.
+    let run = OpenLoop::start(sim, &cell, instants, move |a| {
+        let client = Rc::clone(&clients[a.index % clients.len()]);
+        let op = move || fire_once(client, workload, a, deadline_s);
+        (move || format!("load:{}", workload.name()), op)
+    });
 
     let fc = FabricController::new(
         sim,
@@ -397,7 +406,7 @@ pub fn run_elastic(sim: &Sim, cfg: &ElasticConfig) -> ElasticResult {
     );
 
     let s = sim.clone();
-    let observer_sup = Rc::clone(&observer);
+    let observer_sup = run.observer();
     let cfg_sup = cfg.clone();
     let sup = sim.spawn(async move {
         let cfg = cfg_sup;
@@ -492,9 +501,7 @@ pub fn run_elastic(sim: &Sim, cfg: &ElasticConfig) -> ElasticResult {
     sim.run();
 
     let out = sup.try_take().expect("supervisor ran to completion");
-    let slo = Rc::try_unwrap(tracker)
-        .expect("all arrival tasks finished")
-        .into_inner();
+    let slo = run.finish().slo;
     let (_, admit_shed) = stamp.admission_stats();
     ElasticResult {
         policy: cfg.policy.name(),

@@ -1,14 +1,13 @@
 //! One geo measurement cell: an open-loop fleet against a whole geo
 //! set.
 //!
-//! The shape mirrors `simload::run_open_loop` — a whole arrival
-//! schedule drawn up front from the dedicated `"geo.arrivals"` stream,
-//! each op spawned at its instant by one `simload::inject` task,
-//! coordinated-omission-free latency charged from the scheduled
-//! instant — but every op goes through the
-//! [`GeoClient`](crate::set::GeoClient) front door, and the cell also
-//! runs the geo control plane: the replication shipper, the health
-//! monitor, and (optionally) the cross-stamp rebalancer.
+//! The cell runs on the `simload::OpenLoop` harness — the schedule
+//! drawn from the dedicated `"geo.arrivals"` stream, each op injected
+//! at its instant, coordinated-omission-free latency charged from the
+//! scheduled instant — with every op going through the
+//! [`GeoClient`](crate::set::GeoClient) front door. The cell also runs
+//! the geo control plane: the replication shipper, the health monitor,
+//! and (optionally) the cross-stamp rebalancer.
 //!
 //! Clean cells keep *home-stamp affinity*: arrival `i` lands on VM
 //! `i % fleet`, and each VM issues ops for its own account, whose
@@ -19,13 +18,12 @@
 //! hottest), which concentrates load on one stamp and exercises the
 //! rebalancer.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use azstore::StampConfig;
 use simcore::prelude::*;
 use simfault::GiveUp;
-use simload::{classify, inject, ArrivalProcess, SloTracker, Workload};
+use simload::{classify, ArrivalProcess, OpenLoop, OpenLoopCell, SloTracker, Workload};
 use simtrace::Layer;
 
 use crate::balance::spawn_rebalancer;
@@ -116,7 +114,6 @@ pub fn run_geo(sim: &Sim, base: StampConfig, cfg: &GeoConfig) -> GeoResult {
     assert!(cfg.stamps >= 2, "geo needs at least two stamps");
     assert!(cfg.fleet > 0, "fleet must be non-empty");
     assert!(cfg.accounts > 0, "need at least one account");
-    assert!(cfg.window_s > 0.0, "window must be positive");
 
     let weights = vec![1.0; cfg.stamps];
     let set = GeoSet::new(sim, &base, &weights, cfg.accounts, cfg.placement_seed);
@@ -128,71 +125,43 @@ pub fn run_geo(sim: &Sim, base: StampConfig, cfg: &GeoConfig) -> GeoResult {
         .map(|vm| Rc::new(GeoClient::new(&set, vm, vm as u32 % cfg.accounts)))
         .collect();
 
-    let horizon = cfg.warmup_s + cfg.window_s;
-    let mut rng = sim.rng("geo.arrivals");
-    let instants = cfg.process.instants(&mut rng, cfg.offered_ops_s, horizon);
-    // Per-arrival accounts: the VM's own under affinity, or a skewed
-    // draw from a dedicated stream.
-    let accounts_of: Vec<u32> = match cfg.skew_alpha {
-        None => instants
-            .iter()
-            .enumerate()
-            .map(|(i, _)| (i % cfg.fleet) as u32 % cfg.accounts)
-            .collect(),
-        Some(alpha) => {
-            let mut arng = sim.rng("geo.accounts");
-            instants
-                .iter()
-                .map(|_| {
-                    let u = arng.f64().powf(alpha);
-                    ((u * cfg.accounts as f64) as u32).min(cfg.accounts - 1)
-                })
-                .collect()
-        }
+    let cell = OpenLoopCell {
+        stream: "geo.arrivals",
+        process: &cfg.process,
+        rate_ops_s: cfg.offered_ops_s,
+        offset_s: 0.0,
+        warmup_s: cfg.warmup_s,
+        window_s: cfg.window_s,
+        deadline_s: cfg.deadline_s,
+        layer: Layer::Geo,
+        kind: "geo.op",
     };
-
-    let tracker = Rc::new(RefCell::new(SloTracker::new(cfg.deadline_s)));
-    let drained = Rc::new(std::cell::Cell::new((0u64, 0u64)));
-    let (warmup_s, horizon_s, deadline_s) = (cfg.warmup_s, horizon, cfg.deadline_s);
-    let in_window = instants.iter().filter(|&&t| t >= warmup_s).count() as u64;
-    tracker.borrow_mut().scheduled += in_window;
-    let s = sim.clone();
-    let workload = cfg.workload;
-    let (tr, dr) = (Rc::clone(&tracker), Rc::clone(&drained));
-    inject(sim, instants, move |a| {
-        let (i, t, sched) = (a.index, a.at_s, a.at);
-        let measured = t >= warmup_s;
-        let s = s.clone();
-        let client = Rc::clone(&clients[i % clients.len()]);
-        let account = accounts_of[i];
-        let tracker = Rc::clone(&tr);
-        let drained = Rc::clone(&dr);
-        async move {
-            let sp = simtrace::span(Layer::Geo, "geo.op", || {
-                format!("geo:{}:a{account:04}", workload.name())
-            });
-            let res = client.op(account, workload, i, Some(t + deadline_s)).await;
-            let ok = res.is_ok();
-            let latency_s = (s.now() - sched).as_secs_f64();
-            sp.attr("latency_ms", format!("{:.3}", latency_s * 1e3));
-            sp.attr("deadline", if ok { "met" } else { "failed" });
-            sp.end();
-            let done_s = s.now().as_secs_f64();
-            if ok && (warmup_s..horizon_s).contains(&done_s) {
-                let (all, good) = drained.get();
-                let met = (latency_s <= deadline_s) as u64;
-                drained.set((all + 1, good + met));
+    // Each arrival's account, chosen as it is injected (in index
+    // order): the VM's own under affinity, or the next skewed draw from
+    // a dedicated stream.
+    let mut skew = cfg.skew_alpha.map(|alpha| (alpha, sim.rng("geo.accounts")));
+    let (fleet, accounts) = (cfg.fleet, cfg.accounts);
+    let (workload, deadline_s) = (cfg.workload, cfg.deadline_s);
+    let run = OpenLoop::start(sim, &cell, cell.draw(sim), move |a| {
+        let i = a.index;
+        let account = match &mut skew {
+            None => (i % fleet) as u32 % accounts,
+            Some((alpha, rng)) => {
+                let u = rng.f64().powf(*alpha);
+                ((u * accounts as f64) as u32).min(accounts - 1)
             }
-            if measured {
-                let mut tr = tracker.borrow_mut();
-                match res {
-                    Ok(()) => tr.record_ok(latency_s, done_s),
-                    Err(e) => tr.record_fail(classify(&e, GiveUp::NotRetryable)),
-                }
-            }
-        }
+        };
+        let client = Rc::clone(&clients[i % fleet]);
+        let op = move || async move {
+            client
+                .op(account, workload, i, Some(a.at_s + deadline_s))
+                .await
+                .map_err(|e| classify(&e, GiveUp::NotRetryable))
+        };
+        (move || format!("geo:{}:a{account:04}", workload.name()), op)
     });
 
+    let horizon = cfg.warmup_s + cfg.window_s;
     spawn_shipper(&set, horizon);
     spawn_monitor(&set, horizon);
     if cfg.rebalance {
@@ -200,10 +169,7 @@ pub fn run_geo(sim: &Sim, base: StampConfig, cfg: &GeoConfig) -> GeoResult {
     }
     sim.run();
 
-    let slo = Rc::try_unwrap(tracker)
-        .expect("all arrival tasks finished")
-        .into_inner();
-    let (all, good) = drained.get();
+    let m = run.finish();
     let (mut admit_shed, mut latch_shed) = (0u64, 0u64);
     for stamp in set.stamps() {
         admit_shed += stamp.admission_stats().1;
@@ -211,11 +177,11 @@ pub fn run_geo(sim: &Sim, base: StampConfig, cfg: &GeoConfig) -> GeoResult {
     }
     let decisions = set.decisions();
     GeoResult {
-        offered_ops_s: cfg.offered_ops_s,
-        scheduled_ops_s: in_window as f64 / cfg.window_s,
-        achieved_ops_s: all as f64 / cfg.window_s,
-        goodput_ops_s: good as f64 / cfg.window_s,
-        slo,
+        offered_ops_s: m.offered_ops_s,
+        scheduled_ops_s: m.scheduled_ops_s,
+        achieved_ops_s: m.achieved_ops_s,
+        goodput_ops_s: m.goodput_ops_s,
+        slo: m.slo,
         stamp_ops: set.stamp_ops(),
         admit_shed,
         latch_shed,

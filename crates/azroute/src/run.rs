@@ -1,15 +1,15 @@
 //! One consistency measurement cell: a region-pinned open-loop reader
 //! fleet plus a background writer stream against a whole geo set.
 //!
-//! The shape mirrors `azgeo::run::run_geo` — arrival schedules drawn up
-//! front from dedicated RNG streams (`"route.arrivals"` for reads,
-//! `"route.writes"` for the mutation stream that feeds the replication
-//! logs), each stream's ops spawned at their instants by one
-//! `simload::inject` task, coordinated-omission-free latency charged
-//! from the scheduled instant — but every read goes
-//! through the [`RouteClient`](crate::route::RouteClient) consistency
-//! router, and every successful read's *observed staleness* lands in
-//! the SLO tracker's staleness stream.
+//! The reads run on the `simload::OpenLoop` harness — the schedule
+//! drawn from the dedicated `"route.arrivals"` stream, each read
+//! injected at its instant, coordinated-omission-free latency charged
+//! from the scheduled instant — with every read going through the
+//! [`RouteClient`](crate::route::RouteClient) consistency router, and
+//! every successful read's *observed staleness* landing in the SLO
+//! tracker's staleness stream. The background mutation stream that
+//! feeds the replication logs is drawn from `"route.writes"` and
+//! injected with plain `simload::inject`: it is load, not measurement.
 //!
 //! Reader placement is the swept variable: `Home` pins each client to
 //! its account's primary region (the azgeo baseline), `Secondary` to
@@ -20,7 +20,7 @@
 //! availability split between modes is not diluted by accounts the
 //! fault never touches.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::rc::Rc;
 
 use azgeo::calib;
@@ -30,11 +30,13 @@ use azstore::StampConfig;
 use dcnet::RegionRtt;
 use simcore::prelude::*;
 use simfault::GiveUp;
-use simload::{classify, inject, ArrivalProcess, SloTracker, Workload};
+use simload::{
+    classify, inject, ArrivalProcess, OpenLoop, OpenLoopCell, Served, SloTracker, Workload,
+};
 use simtrace::Layer;
 
-use crate::consistency::Consistency;
-use crate::route::{RouteClient, RouteStats};
+use crate::consistency::{Consistency, ReadPolicy};
+use crate::route::{ReadOutcome, RouteClient, RouteStats};
 
 /// Where the reader fleet sits relative to its accounts' replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,13 +164,26 @@ pub struct RouteResult {
     pub rtt_fingerprint: u64,
 }
 
+impl Served for ReadOutcome {
+    fn staleness_s(&self) -> Option<f64> {
+        Some(self.staleness_s)
+    }
+
+    fn annotate(&self, span: &simtrace::Span) {
+        span.attr(
+            "staleness_ms",
+            format_args!("{:.3}", self.staleness_s * 1e3),
+        );
+        span.attr("served_by", format_args!("s{}", self.served_by));
+    }
+}
+
 /// Run one consistency cell to completion on `sim` (drives
 /// `sim.run()`).
 pub fn run_consistency(sim: &Sim, base: StampConfig, cfg: &RouteConfig) -> RouteResult {
     assert!(cfg.stamps >= 3, "remote placement needs three stamps");
     assert!(cfg.fleet > 0, "fleet must be non-empty");
     assert!(cfg.accounts > 0, "need at least one account");
-    assert!(cfg.window_s > 0.0, "window must be positive");
     if let Consistency::BoundedStaleness(tau) = cfg.mode {
         assert!(
             tau.is_finite() && tau > 0.0,
@@ -226,9 +241,17 @@ pub fn run_consistency(sim: &Sim, base: StampConfig, cfg: &RouteConfig) -> Route
     exp_primary /= cfg.fleet as f64;
     exp_nearest /= cfg.fleet as f64;
 
-    let horizon = cfg.warmup_s + cfg.window_s;
-    let mut rng = sim.rng("route.arrivals");
-    let instants = cfg.process.instants(&mut rng, cfg.offered_ops_s, horizon);
+    let cell = OpenLoopCell {
+        stream: "route.arrivals",
+        process: &cfg.process,
+        rate_ops_s: cfg.offered_ops_s,
+        offset_s: 0.0,
+        warmup_s: cfg.warmup_s,
+        window_s: cfg.window_s,
+        deadline_s: cfg.deadline_s,
+        layer: Layer::Route,
+        kind: "route.read",
+    };
 
     // The RTO availability window: from the first probe-grid instant at
     // or after the fault (where the monitor charges the RTO from) for
@@ -239,74 +262,33 @@ pub fn run_consistency(sim: &Sim, base: StampConfig, cfg: &RouteConfig) -> Route
         (first_missed, first_missed + calib::EXPECTED_RTO_S)
     });
 
-    let tracker = Rc::new(RefCell::new(SloTracker::new(cfg.deadline_s)));
-    let drained = Rc::new(std::cell::Cell::new((0u64, 0u64)));
-    let rto_good = Rc::new(std::cell::Cell::new(0u64));
-    let (warmup_s, horizon_s, deadline_s) = (cfg.warmup_s, horizon, cfg.deadline_s);
-    let in_window = instants.iter().filter(|&&t| t >= warmup_s).count() as u64;
-    tracker.borrow_mut().scheduled += in_window;
-    let mode_name = {
-        use crate::consistency::ReadPolicy;
-        cfg.mode.name()
-    };
-    let s = sim.clone();
+    let rto_good = Rc::new(Cell::new(0u64));
+    let mode_name = cfg.mode.name();
     let workload = cfg.workload;
     let readers = clients.clone();
     let reader_accounts = accounts_of_vm.clone();
-    let (tr, dr, rg) = (
-        Rc::clone(&tracker),
-        Rc::clone(&drained),
-        Rc::clone(&rto_good),
-    );
-    inject(sim, instants, move |a| {
-        let (i, t, sched) = (a.index, a.at_s, a.at);
-        let measured = t >= warmup_s;
-        let s = s.clone();
+    let rg = Rc::clone(&rto_good);
+    let run = OpenLoop::start(sim, &cell, cell.draw(sim), move |a| {
+        let i = a.index;
         let client = Rc::clone(&readers[i % readers.len()]);
         let account = reader_accounts[i % readers.len()];
-        let tracker = Rc::clone(&tr);
-        let drained = Rc::clone(&dr);
         let rto_good = Rc::clone(&rg);
         // Availability is judged by *scheduled* instant: a read that
         // arrives inside the RTO window and succeeds counts, however
         // long it takes — a strong read arriving there hits the down
         // check immediately and can never count.
-        let in_rto_window = rto_window.is_some_and(|(w0, w1)| (w0..w1).contains(&t));
-        async move {
-            let sp = simtrace::span(Layer::Route, "route.read", || {
-                format!("route:{mode_name}:a{account:04}")
-            });
+        let in_rto_window = rto_window.is_some_and(|(w0, w1)| (w0..w1).contains(&a.at_s));
+        let op = move || async move {
             let res = client.read(account, workload, i).await;
-            let ok = res.is_ok();
-            let latency_s = (s.now() - sched).as_secs_f64();
-            sp.attr("latency_ms", format!("{:.3}", latency_s * 1e3));
-            if let Ok(out) = &res {
-                sp.attr("staleness_ms", format!("{:.3}", out.staleness_s * 1e3));
-                sp.attr("served_by", format!("s{}", out.served_by));
-            }
-            sp.end();
-            let done_s = s.now().as_secs_f64();
-            if ok && (warmup_s..horizon_s).contains(&done_s) {
-                let (all, good) = drained.get();
-                let met = (latency_s <= deadline_s) as u64;
-                drained.set((all + 1, good + met));
-            }
-            if ok && in_rto_window {
+            if res.is_ok() && in_rto_window {
                 rto_good.set(rto_good.get() + 1);
             }
-            if measured {
-                let mut tr = tracker.borrow_mut();
-                match res {
-                    Ok(out) => {
-                        tr.record_ok(latency_s, done_s);
-                        tr.record_staleness(out.staleness_s);
-                    }
-                    Err(e) => tr.record_fail(classify(&e, GiveUp::NotRetryable)),
-                }
-            }
-        }
+            res.map_err(|e| classify(&e, GiveUp::NotRetryable))
+        };
+        (move || format!("route:{mode_name}:a{account:04}"), op)
     });
 
+    let horizon = cfg.warmup_s + cfg.window_s;
     // Background writers: Poisson mutations round-robin over the same
     // clients (each writes its own account), feeding the replication
     // logs the staleness measurements read.
@@ -327,16 +309,13 @@ pub fn run_consistency(sim: &Sim, base: StampConfig, cfg: &RouteConfig) -> Route
     spawn_monitor(&set, horizon);
     sim.run();
 
-    let slo = Rc::try_unwrap(tracker)
-        .expect("all arrival tasks finished")
-        .into_inner();
-    let (all, good) = drained.get();
+    let m = run.finish();
     RouteResult {
-        offered_ops_s: cfg.offered_ops_s,
-        scheduled_ops_s: in_window as f64 / cfg.window_s,
-        achieved_ops_s: all as f64 / cfg.window_s,
-        goodput_ops_s: good as f64 / cfg.window_s,
-        slo,
+        offered_ops_s: m.offered_ops_s,
+        scheduled_ops_s: m.scheduled_ops_s,
+        achieved_ops_s: m.achieved_ops_s,
+        goodput_ops_s: m.goodput_ops_s,
+        slo: m.slo,
         reads_primary: stats.reads_primary.get(),
         reads_secondary: stats.reads_secondary.get(),
         escalations: stats.escalations.get(),

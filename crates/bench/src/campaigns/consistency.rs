@@ -41,7 +41,7 @@ use simfault::{FaultEpisode, FaultKind, FaultPlan};
 use simlab::{anchor, run_cells, RunOpts};
 use simload::{ArrivalProcess, Workload};
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 /// Stamps in the geo set = regions in the RTT matrix (1:1).
 const STAMPS: usize = 4;
@@ -560,16 +560,13 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
     // 1. Strong reads from the home region vs the geo front door.
     let strong_home = route(Kind::Clean, "strong", ReaderPlacement::Home);
     let p50_ratio = strong_home.slo.quantile_ms(0.50) / baseline.slo.quantile_ms(0.50);
-    checks.push(check(anchors::ROUTE_STRONG_MATCHES_GEO, p50_ratio));
+    checks.push(anchors::ROUTE_STRONG_MATCHES_GEO.check(p50_ratio));
     // 2. The eventual RTT drop at the secondary's region: measured mean
     // drop over the closed-form fleet-mean saving.
     let strong_sec = route(Kind::Clean, "strong", ReaderPlacement::Secondary);
     let eventual_sec = route(Kind::Clean, "eventual", ReaderPlacement::Secondary);
     let drop_s = (strong_sec.slo.latency.mean() - eventual_sec.slo.latency.mean()).max(0.0);
-    checks.push(check(
-        anchors::ROUTE_EVENTUAL_RTT_DROP,
-        drop_s / strong_sec.expected_saving_rtt_s,
-    ));
+    checks.push(anchors::ROUTE_EVENTUAL_RTT_DROP.check(drop_s / strong_sec.expected_saving_rtt_s));
     // 3. The bounded hard invariant over EVERY bounded cell, clean and
     // partitioned: max observed staleness <= the cell's tau.
     let mut bounded_ok = true;
@@ -591,10 +588,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
             }
         }
     }
-    checks.push(check(
-        anchors::ROUTE_BOUNDED_WITHIN_TAU,
-        if bounded_ok { 1.0 } else { 0.0 },
-    ));
+    checks.push(anchors::ROUTE_BOUNDED_WITHIN_TAU.check(if bounded_ok { 1.0 } else { 0.0 }));
     // 4. Availability through the RTO window: strong blacked out,
     // eventual and bounded serving.
     let strong_p = route(Kind::Partition, "strong", ReaderPlacement::Secondary);
@@ -603,10 +597,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
     let avail_ok = strong_p.rto_window_good == 0
         && eventual_p.rto_window_good > 0
         && bounded_p.rto_window_good > 0;
-    checks.push(check(
-        anchors::ROUTE_PARTITION_AVAILABILITY,
-        if avail_ok { 1.0 } else { 0.0 },
-    ));
+    checks.push(anchors::ROUTE_PARTITION_AVAILABILITY.check(if avail_ok { 1.0 } else { 0.0 }));
 
     let mut block = anchor::render_block(
         "Consistency verdicts (strong vs front door, RTT drop, tau bound, RTO-window availability):",

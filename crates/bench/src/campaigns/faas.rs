@@ -35,7 +35,7 @@ use simcore::report::{num, AsciiTable, Csv};
 use simfault::{FaultEpisode, FaultKind, FaultPlan};
 use simlab::{anchor, run_cells, RunOpts};
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 /// One cell of the grid.
 #[derive(Clone)]
@@ -280,15 +280,9 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
         && hy.r.wasted_mb_s < fx.r.wasted_mb_s;
 
     let checks = vec![
-        check(anchors::FAAS_COLD_START_LIFECYCLE_S, nk.r.cold_full.mean()),
-        check(
-            anchors::FAAS_HYBRID_DOMINANCE,
-            if dominates { 1.0 } else { 0.0 },
-        ),
-        check(
-            anchors::FAAS_FRONTIER_ORDERING,
-            if ordered { 1.0 } else { 0.0 },
-        ),
+        anchors::FAAS_COLD_START_LIFECYCLE_S.check(nk.r.cold_full.mean()),
+        anchors::FAAS_HYBRID_DOMINANCE.check(if dominates { 1.0 } else { 0.0 }),
+        anchors::FAAS_FRONTIER_ORDERING.check(if ordered { 1.0 } else { 0.0 }),
     ];
 
     let mut block = anchor::render_block(

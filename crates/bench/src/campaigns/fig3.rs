@@ -7,7 +7,7 @@ use cloudbench::experiments::queue::{self, QueueOp, QueueScalingConfig, QueueSca
 use simcore::report::Csv;
 use simlab::{anchor, run_cells, RunOpts};
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 enum Fig3Cell {
     Row(queue::QueueScalingRow),
@@ -92,16 +92,16 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
 
     let mut checks = Vec::new();
     if let Some(r) = result.at(QueueOp::Add, 64) {
-        checks.push(check(anchors::FIG3_ADD_PEAK_OPS, r.aggregate_ops_s));
+        checks.push(anchors::FIG3_ADD_PEAK_OPS.check(r.aggregate_ops_s));
     }
     if let Some(r) = result.at(QueueOp::Receive, 64) {
-        checks.push(check(anchors::FIG3_RECV_PEAK_OPS, r.aggregate_ops_s));
+        checks.push(anchors::FIG3_RECV_PEAK_OPS.check(r.aggregate_ops_s));
     }
     if let Some(r) = result.at(QueueOp::Peek, 128) {
-        checks.push(check(anchors::FIG3_PEEK_128_OPS, r.aggregate_ops_s));
+        checks.push(anchors::FIG3_PEEK_128_OPS.check(r.aggregate_ops_s));
     }
     if let Some(r) = result.at(QueueOp::Peek, 192) {
-        checks.push(check(anchors::FIG3_PEEK_192_OPS, r.aggregate_ops_s));
+        checks.push(anchors::FIG3_PEEK_192_OPS.check(r.aggregate_ops_s));
     }
     let mut block = anchor::render_block("Paper anchors (Fig 3):", &checks);
     block.push_str(&format!(

@@ -13,7 +13,7 @@ use simcore::prelude::SampleSet;
 use simcore::report::Csv;
 use simlab::{anchor, run_cells, RunOpts};
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 /// Planned cell count for one mode (recorded by `azlab bench`).
 pub fn cell_count(quick: bool) -> usize {
@@ -79,8 +79,8 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
     }
 
     let checks = vec![
-        check(anchors::FIG4_LE_1MS, result.fraction_at_most(1.0)),
-        check(anchors::FIG4_LE_2MS, result.fraction_at_most(2.0)),
+        anchors::FIG4_LE_1MS.check(result.fraction_at_most(1.0)),
+        anchors::FIG4_LE_2MS.check(result.fraction_at_most(2.0)),
     ];
     let block = anchor::render_block("Paper anchors (Fig 4):", &checks);
 

@@ -8,7 +8,7 @@ use simcore::prelude::SampleSet;
 use simcore::report::Csv;
 use simlab::{anchor, run_cells, RunOpts};
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 /// Planned cell count for one mode (recorded by `azlab bench`).
 pub fn cell_count(quick: bool) -> usize {
@@ -55,8 +55,8 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
     }
 
     let checks = vec![
-        check(anchors::FIG5_GE_90MBPS, result.fraction_at_least(90.0)),
-        check(anchors::FIG5_LE_30MBPS, result.fraction_at_most(30.0)),
+        anchors::FIG5_GE_90MBPS.check(result.fraction_at_least(90.0)),
+        anchors::FIG5_LE_30MBPS.check(result.fraction_at_most(30.0)),
     ];
     let block = anchor::render_block("Paper anchors (Fig 5):", &checks);
 

@@ -22,7 +22,7 @@ use simcore::report::{num, AsciiTable, Csv};
 use simlab::{anchor, run_cells, RunOpts};
 use simload::{run_open_loop, ArrivalProcess, LoadCellResult, LoadConfig, Workload};
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 /// The three swept services.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,7 +333,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
             Service::Table => anchors::FRONTIER_TABLE_CAPACITY_OPS,
             Service::Queue => anchors::FRONTIER_QUEUE_CAPACITY_OPS,
         };
-        checks.push(check(a, peak_goodput));
+        checks.push(a.check(peak_goodput));
     }
 
     let mut block = anchor::render_block(

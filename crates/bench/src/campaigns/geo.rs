@@ -33,7 +33,7 @@ use simfault::{FaultEpisode, FaultKind, FaultPlan};
 use simlab::{anchor, run_cells, RunOpts};
 use simload::{ArrivalProcess, Workload};
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 /// Stamps in the geo set (equal capacity weights).
 const STAMPS: usize = 4;
@@ -482,7 +482,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
             Service::Table => anchors::GEO_TABLE_AGGREGATE_OPS,
             Service::Queue => anchors::GEO_QUEUE_AGGREGATE_OPS,
         };
-        checks.push(check(a, peak));
+        checks.push(a.check(peak));
     }
     // Failover verdicts come from the queue failover cell: queue adds
     // are the only mutations, so only there can the abandoned tail be
@@ -491,12 +491,9 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
         .iter()
         .find(|p| p.service == Service::Queue && p.kind == Kind::Failover)
         .expect("grid has a queue failover cell");
-    checks.push(check(anchors::GEO_FAILOVER_RTO_S, fo.r.rto_s));
+    checks.push(anchors::GEO_FAILOVER_RTO_S.check(fo.r.rto_s));
     let rpo_ok = fo.r.lost_entries > 0 && fo.r.rpo_at_promotion_s > 0.0;
-    checks.push(check(
-        anchors::GEO_FAILOVER_RPO_POSITIVE,
-        if rpo_ok { 1.0 } else { 0.0 },
-    ));
+    checks.push(anchors::GEO_FAILOVER_RPO_POSITIVE.check(if rpo_ok { 1.0 } else { 0.0 }));
 
     let mut block = anchor::render_block(
         "Scale-out + failover verdicts (4-stamp aggregate vs Fig 1-3, RTO/RPO):",

@@ -6,8 +6,7 @@
 //! through [`simlab::run_cells`] (so `--shards`, `--faults` and
 //! `--trace` all apply uniformly), and returns everything the campaign
 //! produces — rendered stdout, result files, anchor verdicts — without
-//! touching the filesystem. The `azlab` driver (and the thin per-figure
-//! wrapper binaries via [`standalone_main`]) handle printing, saving
+//! touching the filesystem. The `azlab` driver handles printing, saving
 //! and the manifest.
 //!
 //! Table 2 and Fig 7 come from the same ModisAzure campaign, so they
@@ -16,7 +15,6 @@
 
 use std::path::Path;
 
-use cloudbench::Anchor;
 use simlab::{AnchorCheck, RunOpts};
 
 pub mod ablations;
@@ -124,17 +122,6 @@ pub fn cell_count(name: &str, quick: bool) -> Option<usize> {
     })
 }
 
-/// Turn a `cloudbench` anchor constant plus a measurement into the
-/// unified check record.
-pub fn check(a: Anchor, measured: f64) -> AnchorCheck {
-    AnchorCheck {
-        name: a.name,
-        paper: a.paper,
-        rel_tol: a.rel_tol,
-        measured,
-    }
-}
-
 /// Print a campaign's stdout, write its files into `dir` (announcing
 /// each on stdout like the pre-simlab binaries did), and print the
 /// trace summary if one was captured.
@@ -156,27 +143,4 @@ pub fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Shared `main` of the per-figure wrapper binaries: parse the common
-/// flags, run the named campaign sharded across the machine's cores,
-/// and emit into `results/` (or `results/quick/` under `--quick`).
-pub fn standalone_main(target: &str) {
-    let usage = format!(
-        "{target} [--quick] [--shards N] [--faults <preset>] [--trace <path>]  (or: azlab run {target})"
-    );
-    let flags = simlab::cli::parse_or_exit(&usage);
-    if !flags.words.is_empty() {
-        eprintln!("error: unexpected argument {:?}", flags.words[0]);
-        eprintln!("usage: {usage}");
-        std::process::exit(2);
-    }
-    let opts = RunOpts {
-        shards: flags.shards.unwrap_or_else(default_shards),
-        faults: flags.faults,
-        trace: flags.trace.map(|path| simlab::TraceSpec { cell: 0, path }),
-        tau: flags.tau,
-    };
-    let out = run(target, flags.quick, &opts).expect("wrapper binaries use canonical targets");
-    emit(&out, &crate::results_dir_for(flags.quick));
 }

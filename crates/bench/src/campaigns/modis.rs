@@ -35,7 +35,7 @@ use simcore::prelude::SimDuration;
 use simcore::report::Csv;
 use simlab::{anchor, run_cells, RunOpts};
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 /// What one day segment sends back across the shard boundary.
 struct SegmentOut {
@@ -153,19 +153,13 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
     };
 
     let table2_checks = vec![
-        check(anchors::TAB2_SUCCESS_RATE, snap.fraction(Outcome::Success)),
-        check(
-            anchors::TAB2_VM_TIMEOUT_RATE,
-            snap.overall_timeout_fraction(),
-        ),
+        anchors::TAB2_SUCCESS_RATE.check(snap.fraction(Outcome::Success)),
+        anchors::TAB2_VM_TIMEOUT_RATE.check(snap.overall_timeout_fraction()),
     ];
     let table2_block = anchor::render_block("Paper anchors (Table 2):", &table2_checks);
     let fig7_checks = vec![
-        check(
-            anchors::TAB2_VM_TIMEOUT_RATE,
-            snap.overall_timeout_fraction(),
-        ),
-        check(anchors::FIG7_MAX_DAILY, snap.max_daily_timeout_fraction()),
+        anchors::TAB2_VM_TIMEOUT_RATE.check(snap.overall_timeout_fraction()),
+        anchors::FIG7_MAX_DAILY.check(snap.max_daily_timeout_fraction()),
     ];
     let fig7_block = anchor::render_block("Paper anchors (Fig 7):", &fig7_checks);
 

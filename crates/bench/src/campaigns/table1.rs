@@ -10,7 +10,7 @@ use fabric::{Phase, RoleType, VmSize};
 use simcore::report::Csv;
 use simlab::{anchor, run_cells, RunOpts};
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 /// Planned cell count for one mode (recorded by `azlab bench`).
 pub fn cell_count(_quick: bool) -> usize {
@@ -57,8 +57,8 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
             .mean(RoleType::Worker, VmSize::Small, Phase::Run)
             .unwrap_or(0.0);
     let checks = vec![
-        check(anchors::TAB1_SMALL_WORKER_STARTUP_S, small_worker_startup),
-        check(anchors::TAB1_STARTUP_FAILURE_RATE, result.failure_rate()),
+        anchors::TAB1_SMALL_WORKER_STARTUP_S.check(small_worker_startup),
+        anchors::TAB1_STARTUP_FAILURE_RATE.check(result.failure_rate()),
     ];
     let block = anchor::render_block("Paper anchors (Table 1):", &checks);
 

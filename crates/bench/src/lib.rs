@@ -1,4 +1,4 @@
-//! Campaign library and regeneration binaries.
+//! Campaign library and the `azlab` regeneration driver.
 //!
 //! The [`campaigns`] module holds every paper artifact as a library
 //! function driven by the `simlab` sharded runner; the `azlab` binary
@@ -23,9 +23,7 @@
 //!
 //! Run everything with `azlab run all [--quick] [--shards N]`, or one
 //! campaign with e.g. `azlab run fig3` (`table2` and `fig7` are aliases
-//! for `modis`, which emits both artifact sets). The per-figure
-//! binaries (`fig1` ... `fig7`, `table1`, `table2`, `ablations`) remain
-//! as thin wrappers over the same campaign functions.
+//! for `modis`, which emits both artifact sets).
 //!
 //! All targets accept `--quick` for a scaled-down run (artifacts then
 //! land in `results/quick/`), `--shards N` to spread cells over worker
@@ -44,12 +42,6 @@ use std::fs;
 use std::path::PathBuf;
 
 pub mod campaigns;
-
-/// Directory full-scale regeneration outputs land in (`results/` at the
-/// workspace root).
-pub fn results_dir() -> PathBuf {
-    results_dir_for(false)
-}
 
 /// Results directory for a run: `results/` at full scale,
 /// `results/quick/` under `--quick` (so quick runs never clobber the
@@ -71,7 +63,7 @@ mod tests {
 
     #[test]
     fn results_dirs_are_creatable() {
-        assert!(results_dir().ends_with("results"));
+        assert!(results_dir_for(false).ends_with("results"));
         assert!(results_dir_for(true).ends_with("results/quick"));
     }
 

@@ -4,36 +4,7 @@
 //! report paper-vs-measured side by side. Each constant cites its
 //! sentence in the paper.
 
-/// An anchor: a named scalar the paper reports, with the tolerance used
-/// when we compare the reproduction against it.
-#[derive(Debug, Clone, Copy)]
-pub struct Anchor {
-    /// Short identifier (also used in EXPERIMENTS.md).
-    pub name: &'static str,
-    /// The paper's value.
-    pub paper: f64,
-    /// Relative tolerance for "reproduced" (0.15 = ±15 %).
-    pub rel_tol: f64,
-}
-
-impl Anchor {
-    /// True if `measured` lies within the anchor's tolerance.
-    pub fn matches(&self, measured: f64) -> bool {
-        if self.paper == 0.0 {
-            return measured.abs() < self.rel_tol;
-        }
-        ((measured - self.paper) / self.paper).abs() <= self.rel_tol
-    }
-
-    /// Relative error of a measurement.
-    pub fn rel_err(&self, measured: f64) -> f64 {
-        if self.paper == 0.0 {
-            measured.abs()
-        } else {
-            (measured - self.paper) / self.paper
-        }
-    }
-}
+pub use simlab::Anchor;
 
 /// Fig 1: single-client download bandwidth, MB/s ("approximately 13 MB/s").
 pub const FIG1_DL_1CLIENT_MBPS: Anchor = Anchor {
@@ -432,27 +403,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matches_respects_tolerance() {
-        assert!(FIG1_DL_1CLIENT_MBPS.matches(12.0));
-        assert!(!FIG1_DL_1CLIENT_MBPS.matches(7.0));
-        assert!(FIG1_DL_PEAK_MBPS.matches(360.0));
-        assert!(!FIG1_DL_PEAK_MBPS.matches(200.0));
+    fn check_respects_tolerance() {
+        assert!(FIG1_DL_1CLIENT_MBPS.check(12.0).ok());
+        assert!(!FIG1_DL_1CLIENT_MBPS.check(7.0).ok());
+        assert!(FIG1_DL_PEAK_MBPS.check(360.0).ok());
+        assert!(!FIG1_DL_PEAK_MBPS.check(200.0).ok());
     }
 
     #[test]
     fn rel_err_signs() {
-        assert!(FIG4_LE_1MS.rel_err(0.45) < 0.0);
-        assert!(FIG4_LE_1MS.rel_err(0.55) > 0.0);
-    }
-
-    #[test]
-    fn zero_paper_value_uses_absolute() {
-        let a = Anchor {
-            name: "zero",
-            paper: 0.0,
-            rel_tol: 0.1,
-        };
-        assert!(a.matches(0.05));
-        assert!(!a.matches(0.2));
+        assert!(FIG4_LE_1MS.check(0.45).rel_err() < 0.0);
+        assert!(FIG4_LE_1MS.check(0.55).rel_err() > 0.0);
     }
 }

@@ -12,9 +12,9 @@ use std::rc::Rc;
 
 use azstore::StorageStamp;
 use simcore::report::{num, AsciiTable};
-use simlab::CellCtx;
+use simlab::{run_cells, CellCtx, RunOpts};
 
-use crate::runner::{mean, parallel_sweep, CLIENT_COUNTS};
+use super::{mean, CLIENT_COUNTS};
 
 /// Configuration for the blob scaling experiment.
 #[derive(Debug, Clone)]
@@ -190,9 +190,13 @@ pub fn run_point(cfg: &BlobScalingConfig, clients: usize, ctx: &CellCtx) -> Blob
 
 /// Run the full Fig 1 experiment.
 pub fn run(cfg: &BlobScalingConfig) -> BlobScalingResult {
-    let rows = parallel_sweep(cfg.client_counts.clone(), |clients| {
-        run_point(cfg, clients, &CellCtx::detached())
-    });
+    // One thread per point: each point is a whole simulation.
+    let n = cfg.client_counts.len();
+    let opts = RunOpts {
+        shards: n,
+        ..RunOpts::default()
+    };
+    let rows = run_cells(n, &opts, |i, ctx| run_point(cfg, cfg.client_counts[i], ctx)).cells;
     BlobScalingResult { rows }
 }
 

@@ -12,9 +12,9 @@ use azstore::{StorageAccountClient, StorageError, StorageStamp};
 use simcore::combinators::join_all;
 use simcore::prelude::*;
 use simcore::report::{num, AsciiTable};
-use simlab::CellCtx;
+use simlab::{run_cells, CellCtx, RunOpts};
 
-use crate::runner::{mean, parallel_sweep, CLIENT_COUNTS};
+use super::{mean, CLIENT_COUNTS};
 
 /// The three benchmarked queue operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -252,9 +252,16 @@ pub fn run(cfg: &QueueScalingConfig) -> QueueScalingResult {
         .iter()
         .flat_map(|op| cfg.client_counts.iter().map(move |c| (*op, *c)))
         .collect();
-    let rows = parallel_sweep(points, |(op, clients)| {
-        run_phase(cfg, op, clients, &CellCtx::detached())
-    });
+    // One thread per point: each point is a whole simulation.
+    let opts = RunOpts {
+        shards: points.len(),
+        ..RunOpts::default()
+    };
+    let rows = run_cells(points.len(), &opts, |i, ctx| {
+        let (op, clients) = points[i];
+        run_phase(cfg, op, clients, ctx)
+    })
+    .cells;
     QueueScalingResult {
         message_bytes: cfg.message_bytes,
         rows,

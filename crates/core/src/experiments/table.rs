@@ -13,9 +13,9 @@ use azstore::{Entity, StorageAccountClient, StorageError, StorageStamp};
 use simcore::combinators::join_all;
 use simcore::prelude::*;
 use simcore::report::{num, AsciiTable};
-use simlab::CellCtx;
+use simlab::{run_cells, CellCtx, RunOpts};
 
-use crate::runner::{mean, parallel_sweep, CLIENT_COUNTS};
+use super::{mean, CLIENT_COUNTS};
 
 /// The four benchmarked table operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -410,9 +410,13 @@ fn one_point_on(
 
 /// Run the full Fig 2 experiment at the configured entity size.
 pub fn run(cfg: &TableScalingConfig) -> TableScalingResult {
-    let per_point = parallel_sweep(cfg.client_counts.clone(), |clients| {
-        run_point(cfg, clients, &CellCtx::detached())
-    });
+    // One thread per point: each point is a whole simulation.
+    let n = cfg.client_counts.len();
+    let opts = RunOpts {
+        shards: n,
+        ..RunOpts::default()
+    };
+    let per_point = run_cells(n, &opts, |i, ctx| run_point(cfg, cfg.client_counts[i], ctx)).cells;
     TableScalingResult {
         entity_kb: cfg.entity_kb,
         rows: per_point.into_iter().flatten().collect(),

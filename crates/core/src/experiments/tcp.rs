@@ -16,9 +16,7 @@ use dcnet::{
 };
 use simcore::prelude::*;
 use simcore::report::{num, pct, AsciiTable};
-use simlab::CellCtx;
-
-use crate::runner::parallel_sweep;
+use simlab::{run_cells, CellCtx, RunOpts};
 
 // ---------------------------------------------------------------------------
 // FIG4 — latency
@@ -274,10 +272,15 @@ fn one_round_on(sim: &Sim, cfg: &TcpBandwidthConfig) -> Vec<f64> {
 
 /// Run the bandwidth measurement across all rounds (parallelized).
 pub fn run_bandwidth(cfg: &TcpBandwidthConfig) -> TcpBandwidthResult {
-    let rounds: Vec<usize> = (0..cfg.rounds).collect();
-    let all = parallel_sweep(rounds, |round| {
-        bandwidth_round(cfg, round, &CellCtx::detached())
-    });
+    // One thread per round: each round is a whole simulation.
+    let opts = RunOpts {
+        shards: cfg.rounds,
+        ..RunOpts::default()
+    };
+    let all = run_cells(cfg.rounds, &opts, |round, ctx| {
+        bandwidth_round(cfg, round, ctx)
+    })
+    .cells;
     let mut samples = SampleSet::new();
     for chunk in all {
         for v in chunk {

@@ -13,9 +13,9 @@
 //! * [`experiments::vm`] — Table 1 (VM lifecycle campaign)
 //! * [`experiments::tcp`] — Figs 4 & 5 (TCP latency / bandwidth)
 //!
-//! Sweep points are independent simulations parallelized across OS
-//! threads ([`runner::parallel_sweep`]); the paper's published numbers
-//! live in [`anchors`] so results can be compared programmatically.
+//! Sweep points are independent simulations, run one thread per point
+//! through [`simlab::run_cells`]; the paper's published numbers live in
+//! [`anchors`] so results can be compared programmatically.
 //!
 //! ## Example
 //! ```
@@ -34,7 +34,6 @@
 
 pub mod anchors;
 pub mod experiments;
-pub mod runner;
 
 pub use anchors::Anchor;
-pub use runner::{parallel_sweep, CLIENT_COUNTS};
+pub use experiments::CLIENT_COUNTS;

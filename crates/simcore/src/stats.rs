@@ -5,7 +5,7 @@ use crate::time::{SimDuration, SimTime};
 
 /// Streaming mean/variance/min/max (Welford's algorithm) — numerically
 /// stable for the 10⁶-sample series the ModisAzure campaign produces.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -92,6 +92,14 @@ impl OnlineStats {
         self.n += other.n;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+impl Default for OnlineStats {
+    /// Same as [`OnlineStats::new`]: min/max start at ±∞, so the first
+    /// observation sets both.
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -434,6 +442,25 @@ mod tests {
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert!((s.sum() - 40.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn default_is_the_empty_accumulator() {
+        assert_eq!(OnlineStats::default().min(), f64::INFINITY);
+        let mut other = OnlineStats::new();
+        for x in [3.0, 5.0, 8.0] {
+            other.push(x);
+        }
+        let (mut a, mut b) = (OnlineStats::default(), OnlineStats::new());
+        for s in [&mut a, &mut b] {
+            s.push(4.0);
+            s.merge(&other);
+        }
+        assert_eq!(a.min(), 3.0);
+        assert_eq!(
+            (a.count(), a.mean(), a.std(), a.min(), a.max()),
+            (b.count(), b.mean(), b.std(), b.min(), b.max())
+        );
     }
 
     #[test]

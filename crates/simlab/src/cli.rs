@@ -1,4 +1,4 @@
-//! Shared flag parsing for the regeneration binaries.
+//! Flag parsing for the `azlab` regeneration driver.
 //!
 //! The pre-simlab binaries scanned `std::env::args()` ad hoc: `--trace`
 //! with a missing path silently disabled tracing, and `--shards` did
@@ -9,7 +9,7 @@ use std::path::PathBuf;
 
 use simfault::FaultPlan;
 
-/// Parsed command line of a regeneration binary.
+/// Parsed command line of the regeneration driver.
 #[derive(Debug, Default)]
 pub struct Flags {
     /// `--quick`: scaled-down campaign.

@@ -31,7 +31,7 @@
 //! * [`manifest`] — the machine-readable `results/manifest.json`
 //!   (per-campaign cell counts, wall-clock, anchor verdicts) written by
 //!   the `azlab` driver.
-//! * [`cli`] — shared flag parsing for the regeneration binaries, with
+//! * [`cli`] — flag parsing for the `azlab` regeneration driver, with
 //!   hard usage errors (exit 2) for malformed `--shards`/`--trace`/
 //!   `--faults` values instead of silent defaults.
 //!
@@ -46,7 +46,7 @@ pub mod manifest;
 pub mod shard;
 pub mod stats;
 
-pub use anchor::AnchorCheck;
+pub use anchor::{Anchor, AnchorCheck};
 pub use cli::Flags;
 pub use manifest::{CampaignEntry, Manifest};
 pub use shard::{run_cells, CellCtx, RunOpts, RunOutcome, TraceSpec};

@@ -103,8 +103,8 @@ impl Manifest {
                 }
                 s.push_str(&format!(
                     "\n        {{\"name\": \"{}\", \"paper\": {}, \"measured\": {}, \"rel_err\": {}, \"ok\": {}}}",
-                    json_escape(a.name),
-                    json_f64(a.paper),
+                    json_escape(a.anchor.name),
+                    json_f64(a.anchor.paper),
                     json_f64(a.measured),
                     json_f64(a.rel_err()),
                     a.ok()
@@ -134,6 +134,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::anchor::Anchor;
 
     fn sample(wall: u64) -> Manifest {
         Manifest {
@@ -144,12 +145,12 @@ mod tests {
                 name: "fig1".to_string(),
                 cells: 6,
                 wall_us: wall,
-                anchors: vec![AnchorCheck {
+                anchors: vec![Anchor {
                     name: "fig1 download, 1 client (MB/s)",
                     paper: 13.0,
                     rel_tol: 0.15,
-                    measured: 12.262,
-                }],
+                }
+                .check(12.262)],
                 artifacts: vec!["fig1.csv".to_string(), "fig1.anchors.txt".to_string()],
             }],
         }

@@ -80,7 +80,8 @@ pub struct CellCtx<'a> {
 
 impl<'a> CellCtx<'a> {
     /// A context with no fault plan and no tracing — library callers
-    /// (the serial `run()` entry points, unit tests) use this; it makes
+    /// outside [`run_cells`] (single-simulation entry points, unit
+    /// tests) use this; it makes
     /// `with_sim(seed, f)` exactly `f(&Sim::new(seed))`.
     pub fn detached() -> CellCtx<'static> {
         CellCtx {
@@ -215,27 +216,26 @@ mod tests {
 
     #[test]
     fn cells_come_back_in_canonical_order() {
-        for shards in [1usize, 2, 3, 8, 64] {
-            let opts = RunOpts {
-                shards,
-                ..RunOpts::default()
-            };
-            let out = run_cells(17, &opts, |i, _| {
-                // Stagger completion so arrival order differs.
-                std::thread::sleep(std::time::Duration::from_micros(
-                    ((17 - i) % 5) as u64 * 200,
-                ));
-                i * 10
-            });
-            assert_eq!(out.cells, (0..17).map(|i| i * 10).collect::<Vec<_>>());
-            assert!(out.trace_summary.is_none());
+        // `shards: n` is one thread per cell, the experiments' library
+        // sweeps; 0 and 1 cells are the edge cases (0 cells at
+        // `shards: 0` is the serial default).
+        for n in [0usize, 1, 17] {
+            for shards in [1usize, 2, 3, 8, 64, n] {
+                let opts = RunOpts {
+                    shards,
+                    ..RunOpts::default()
+                };
+                let out = run_cells(n, &opts, |i, _| {
+                    // Stagger completion so arrival order differs.
+                    std::thread::sleep(std::time::Duration::from_micros(
+                        ((n - i) % 5) as u64 * 200,
+                    ));
+                    i * 10
+                });
+                assert_eq!(out.cells, (0..n).map(|i| i * 10).collect::<Vec<_>>());
+                assert!(out.trace_summary.is_none());
+            }
         }
-    }
-
-    #[test]
-    fn zero_cells_is_fine() {
-        let out = run_cells(0, &RunOpts::serial(), |i, _| i);
-        assert!(out.cells.is_empty());
     }
 
     #[test]

@@ -183,8 +183,6 @@ impl StreamSummary {
     /// Empty summary.
     pub fn new() -> Self {
         StreamSummary {
-            // Not OnlineStats::default(): the derived Default seeds
-            // min/max at 0.0, not ±∞, which poisons merged minima.
             stats: OnlineStats::new(),
             hist: Log2Hist::new(),
         }

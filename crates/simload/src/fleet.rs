@@ -6,9 +6,9 @@
 //! measured latency hides the queueing a real workload would see. The
 //! open-loop fleet instead fires each operation at its *scheduled*
 //! arrival instant — drawn by the
-//! [`ArrivalProcess`](crate::ArrivalProcess), the op spawned there by
-//! one [`inject`] task for the whole schedule —
-//! and charges latency from that scheduled instant. An op that waits
+//! [`ArrivalProcess`](crate::ArrivalProcess) and injected by the
+//! [`OpenLoop`] harness — and charges latency from that scheduled
+//! instant. An op that waits
 //! behind a saturated service pays its full queueing delay, which is
 //! what makes the offered-load frontier honest past the knee.
 //!
@@ -25,7 +25,8 @@ use simfault::{Backoff, GiveUp, Jitter, RetryBudget, RetryPolicy};
 use simtrace::Layer;
 
 use crate::arrival::ArrivalProcess;
-use crate::inject::inject;
+use crate::harness::{OpenLoop, OpenLoopCell};
+use crate::inject::Arrival;
 use crate::slo::{FailClass, SloTracker};
 
 /// Number of table partitions the seeded benchmark entities spread
@@ -138,20 +139,13 @@ pub struct LoadCellResult {
     /// Offered rate actually scheduled in the window (ops/s) — differs
     /// from the target only by arrival-process granularity.
     pub scheduled_ops_s: f64,
-    /// Achieved throughput (ops/s): successful completion *events*
-    /// inside the measurement window, over the window. In steady state
-    /// below the knee the completion rate balances the arrival rate, so
-    /// this tracks the offered rate; above the knee the service runs
-    /// continuously backlogged and the same count measures its capacity
-    /// directly — no drain-time correction needed either side.
+    /// Achieved throughput (ops/s); see
+    /// [`OpenLoopResult::achieved_ops_s`](crate::OpenLoopResult).
     pub achieved_ops_s: f64,
-    /// Completion events inside the window that also met the deadline,
-    /// per second of window — throughput that actually honoured the SLO.
+    /// In-window completions that also met the deadline (ops/s).
     pub goodput_ops_s: f64,
-    /// SLO accounting and the latency distribution, over the cohort of
-    /// arrivals *scheduled* inside the window (latency is charged to
-    /// the scheduling instant, so the cohort view is the
-    /// coordinated-omission-free one).
+    /// SLO accounting over the cohort of arrivals *scheduled* inside
+    /// the window.
     pub slo: SloTracker,
     /// Client retries of shed responses over the whole run (warmup
     /// included); 0 without [`LoadConfig::shed_retry`].
@@ -168,14 +162,13 @@ pub struct LoadCellResult {
 /// Run one open-loop cell to completion on `sim` (drives `sim.run()`).
 ///
 /// Builds a standalone stamp, seeds the workload's data, attaches the
-/// fleet, draws the whole arrival schedule from the dedicated
-/// `"load.arrivals"` stream, and injects each arrival's op at its
-/// instant ([`inject`]). Every latency is
-/// measured from the scheduled instant (no coordinated omission);
-/// arrivals scheduled during warmup execute but are not recorded.
+/// fleet, and runs the cell through the [`OpenLoop`] harness with the
+/// schedule drawn from the dedicated `"load.arrivals"` stream. Every
+/// latency is measured from the scheduled instant (no coordinated
+/// omission); arrivals scheduled during warmup execute but are not
+/// recorded.
 pub fn run_open_loop(sim: &Sim, stamp_cfg: StampConfig, cfg: &LoadConfig) -> LoadCellResult {
     assert!(cfg.fleet > 0, "fleet must be non-empty");
-    assert!(cfg.window_s > 0.0, "window must be positive");
     let stamp = StorageStamp::standalone(sim, stamp_cfg);
     seed_workload(&stamp, cfg.workload);
 
@@ -185,127 +178,81 @@ pub fn run_open_loop(sim: &Sim, stamp_cfg: StampConfig, cfg: &LoadConfig) -> Loa
         .map(Rc::new)
         .collect();
 
-    // The whole schedule comes from one dedicated stream: a pure
-    // function of (seed, process, rate, horizon), untouched by how the
-    // operations later interleave.
-    let mut rng = sim.rng("load.arrivals");
-    let horizon = cfg.warmup_s + cfg.window_s;
-    let instants = cfg.process.instants(&mut rng, cfg.offered_ops_s, horizon);
-
-    let tracker = Rc::new(RefCell::new(SloTracker::new(cfg.deadline_s)));
-    // Completion events landing inside the measurement window, from
-    // *any* arrival (warmup cohort included): `(all, within deadline)`.
-    // In steady state completions of warmup arrivals inside the window
-    // balance window arrivals completing after it, so `drained /
-    // window` is the unbiased throughput on both sides of the knee.
-    let drained = Rc::new(std::cell::Cell::new((0u64, 0u64)));
+    let cell = OpenLoopCell {
+        stream: "load.arrivals",
+        process: &cfg.process,
+        rate_ops_s: cfg.offered_ops_s,
+        offset_s: 0.0,
+        warmup_s: cfg.warmup_s,
+        window_s: cfg.window_s,
+        deadline_s: cfg.deadline_s,
+        layer: Layer::Load,
+        kind: "load.op",
+    };
     // Per-client-VM retry budgets (shared across that VM's arrivals).
     let budgets: Option<Vec<Rc<RetryBudget>>> = cfg.shed_retry.map(|sr| {
         (0..clients.len())
             .map(|_| Rc::new(RetryBudget::new(sr.budget_max, sr.budget_earn)))
             .collect()
     });
-    let retries_total = Rc::new(std::cell::Cell::new(0u64));
-    let in_window = instants.iter().filter(|&&t| t >= cfg.warmup_s).count() as u64;
-    tracker.borrow_mut().scheduled += in_window;
-    let (warmup_s, horizon_s, deadline_s) = (cfg.warmup_s, horizon, cfg.deadline_s);
-    let (shed_retry, workload) = (cfg.shed_retry, cfg.workload);
+    let retries_total = Rc::new(Cell::new(0u64));
+    let (shed_retry, workload, deadline_s) = (cfg.shed_retry, cfg.workload, cfg.deadline_s);
     let s = sim.clone();
-    let (tr, dr, rt) = (
-        Rc::clone(&tracker),
-        Rc::clone(&drained),
-        Rc::clone(&retries_total),
-    );
-    inject(sim, instants, move |a| {
-        let (i, t, sched) = (a.index, a.at_s, a.at);
-        let measured = t >= warmup_s;
+    let rt = Rc::clone(&retries_total);
+    let run = OpenLoop::start(sim, &cell, cell.draw(sim), move |a| {
+        let i = a.index;
         let s = s.clone();
         let client = Rc::clone(&clients[i % clients.len()]);
-        let tracker = Rc::clone(&tr);
-        let drained = Rc::clone(&dr);
         let retries_total = Rc::clone(&rt);
         let budget = budgets.as_ref().map(|b| Rc::clone(&b[i % clients.len()]));
-        async move {
-            let sp = simtrace::span(Layer::Load, "load.op", || {
-                format!("load:{}", workload.name())
-            });
-            sp.attr("sched_s", format!("{t:.6}"));
+        let op = move || async move {
+            let Some((sr, budget)) = shed_retry.zip(budget) else {
+                return fire_once(client, workload, a, deadline_s).await;
+            };
             // The absolute SLO deadline, declared to the front door
             // before every attempt: a retry that arrives with most of
             // its budget already burned is exactly the request a
             // deadline-aware policy should shed first.
-            let deadline_abs_s = t + deadline_s;
-            let res: Result<(), (StorageError, GiveUp)> = match (shed_retry, budget) {
-                (Some(sr), Some(budget)) => {
-                    let rng = RefCell::new(s.rng(&format!("load.retry.{i}")));
-                    let policy = RetryPolicy {
-                        backoff: sr.backoff,
-                        retries: sr.retries,
-                        attempt_timeout: None,
-                        jitter: Jitter::Centered,
-                        retry_counter: Some("load.shed_retries"),
-                    };
-                    let attempts = std::cell::Cell::new(0u64);
-                    let r = policy
-                        .run_budgeted(
-                            &s,
-                            Some(&rng),
-                            &budget,
-                            || None::<StorageError>,
-                            |_| {
-                                attempts.set(attempts.get() + 1);
-                                azstore::admit::stash_deadline(deadline_abs_s);
-                                fire(Rc::clone(&client), workload, i)
-                            },
-                            |e| *e == StorageError::ServerBusy,
-                            || StorageError::Timeout,
-                        )
-                        .await;
-                    retries_total.set(retries_total.get() + attempts.get().saturating_sub(1));
-                    r
-                }
-                _ => {
-                    azstore::admit::stash_deadline(deadline_abs_s);
-                    fire(Rc::clone(&client), workload, i)
-                        .await
-                        .map_err(|e| (e, GiveUp::NotRetryable))
-                }
+            let deadline_abs_s = a.at_s + deadline_s;
+            let rng = RefCell::new(s.rng(&format!("load.retry.{i}")));
+            let policy = RetryPolicy {
+                backoff: sr.backoff,
+                retries: sr.retries,
+                attempt_timeout: None,
+                jitter: Jitter::Centered,
+                retry_counter: Some("load.shed_retries"),
             };
-            let ok = res.is_ok();
-            // Coordinated-omission-free: charge from the scheduled
-            // instant, not from when the op actually got issued.
-            let latency_s = (s.now() - sched).as_secs_f64();
-            sp.attr("latency_ms", format!("{:.3}", latency_s * 1e3));
-            sp.attr("deadline", if ok { "met" } else { "failed" });
-            sp.end();
-            let done_s = s.now().as_secs_f64();
-            if ok && (warmup_s..horizon_s).contains(&done_s) {
-                let (all, good) = drained.get();
-                let met = (latency_s <= deadline_s) as u64;
-                drained.set((all + 1, good + met));
-            }
-            if measured {
-                let mut tr = tracker.borrow_mut();
-                match res {
-                    Ok(()) => tr.record_ok(latency_s, done_s),
-                    Err((e, giveup)) => tr.record_fail(classify(&e, giveup)),
-                }
-            }
-        }
+            let attempts = Cell::new(0u64);
+            let res = policy
+                .run_budgeted(
+                    &s,
+                    Some(&rng),
+                    &budget,
+                    || None::<StorageError>,
+                    |_| {
+                        attempts.set(attempts.get() + 1);
+                        azstore::admit::stash_deadline(deadline_abs_s);
+                        fire(Rc::clone(&client), workload, i)
+                    },
+                    |e| *e == StorageError::ServerBusy,
+                    || StorageError::Timeout,
+                )
+                .await;
+            retries_total.set(retries_total.get() + attempts.get().saturating_sub(1));
+            res.map_err(|(e, giveup)| classify(&e, giveup))
+        };
+        (move || format!("load:{}", workload.name()), op)
     });
     sim.run();
 
-    let slo = Rc::try_unwrap(tracker)
-        .expect("all arrival tasks finished")
-        .into_inner();
-    let (all, good) = drained.get();
+    let m = run.finish();
     let (admit_accepted, admit_shed) = stamp.admission_stats();
     LoadCellResult {
-        offered_ops_s: cfg.offered_ops_s,
-        scheduled_ops_s: in_window as f64 / cfg.window_s,
-        achieved_ops_s: all as f64 / cfg.window_s,
-        goodput_ops_s: good as f64 / cfg.window_s,
-        slo,
+        offered_ops_s: m.offered_ops_s,
+        scheduled_ops_s: m.scheduled_ops_s,
+        achieved_ops_s: m.achieved_ops_s,
+        goodput_ops_s: m.goodput_ops_s,
+        slo: m.slo,
         retries: retries_total.get(),
         admit_accepted,
         admit_shed,
@@ -336,9 +283,10 @@ pub fn seed_workload(stamp: &Rc<StorageStamp>, workload: Workload) {
     }
 }
 
-/// Live progress counters for an open-loop run, shared with whoever is
-/// watching the fleet (the elastic supervisor reads queue depth as
-/// `dispatched - completed` and goodput deltas between control ticks).
+/// Live progress counters for an open-loop run, kept by the
+/// [`OpenLoop`] harness and shared with whoever is watching the fleet
+/// (the elastic supervisor reads queue depth as `dispatched -
+/// completed` and shed deltas between control ticks).
 #[derive(Debug, Default)]
 pub struct LoadObserver {
     /// Arrivals whose scheduled instant has passed (op issued).
@@ -356,68 +304,6 @@ impl LoadObserver {
     pub fn in_flight(&self) -> u64 {
         self.dispatched.get() - self.completed.get()
     }
-}
-
-/// Inject one op per arrival, shifted `offset_s` into the future, with
-/// latency charged from the shifted scheduled instant (coordinated-
-/// omission-free, like [`run_open_loop`]). Every arrival is recorded in
-/// `tracker`; `observer` counts progress for an external control loop.
-/// Sheds fail the op outright (no client retries): an elastic
-/// controller is expected to buy capacity, not paper over the shortfall
-/// with retry storms. Does not call `sim.run()`.
-#[allow(clippy::too_many_arguments)]
-pub fn spawn_arrivals(
-    sim: &Sim,
-    clients: &[Rc<StorageAccountClient>],
-    workload: Workload,
-    instants: &[f64],
-    offset_s: f64,
-    deadline_s: f64,
-    tracker: &Rc<RefCell<SloTracker>>,
-    observer: &Rc<LoadObserver>,
-) {
-    assert!(!clients.is_empty(), "fleet must be non-empty");
-    tracker.borrow_mut().scheduled += instants.len() as u64;
-    let s = sim.clone();
-    let clients = clients.to_vec();
-    let (tracker, observer) = (Rc::clone(tracker), Rc::clone(observer));
-    let shifted = instants.iter().map(|t| offset_s + t).collect();
-    inject(sim, shifted, move |a| {
-        let (i, t, sched) = (a.index, a.at_s, a.at);
-        let s = s.clone();
-        let client = Rc::clone(&clients[i % clients.len()]);
-        let tracker = Rc::clone(&tracker);
-        let observer = Rc::clone(&observer);
-        async move {
-            observer.dispatched.set(observer.dispatched.get() + 1);
-            let sp = simtrace::span(Layer::Load, "load.op", || {
-                format!("load:{}", workload.name())
-            });
-            sp.attr("sched_s", format!("{t:.6}"));
-            azstore::admit::stash_deadline(t + deadline_s);
-            let res = fire(Rc::clone(&client), workload, i).await;
-            let latency_s = (s.now() - sched).as_secs_f64();
-            let ok = res.is_ok();
-            sp.attr("latency_ms", format!("{:.3}", latency_s * 1e3));
-            sp.attr("deadline", if ok { "met" } else { "failed" });
-            sp.end();
-            observer.completed.set(observer.completed.get() + 1);
-            if ok && latency_s <= deadline_s {
-                observer.good.set(observer.good.get() + 1);
-            }
-            let done_s = s.now().as_secs_f64();
-            let mut tr = tracker.borrow_mut();
-            match res {
-                Ok(()) => tr.record_ok(latency_s, done_s),
-                Err(e) => {
-                    if e == StorageError::ServerBusy {
-                        observer.shed.set(observer.shed.get() + 1);
-                    }
-                    tr.record_fail(classify(&e, GiveUp::NotRetryable));
-                }
-            }
-        }
-    });
 }
 
 /// Fire one workload op; discard the payload-specific success value.
@@ -440,6 +326,20 @@ pub async fn fire(
             .await
             .map(|_| ()),
     }
+}
+
+/// Fire arrival `a`'s op once, with no client retries, declaring its
+/// absolute SLO deadline to the front door first.
+pub async fn fire_once(
+    client: Rc<StorageAccountClient>,
+    workload: Workload,
+    a: Arrival,
+    deadline_s: f64,
+) -> Result<(), FailClass> {
+    azstore::admit::stash_deadline(a.at_s + deadline_s);
+    fire(client, workload, a.index)
+        .await
+        .map_err(|e| classify(&e, GiveUp::NotRetryable))
 }
 
 /// Map a final error + give-up reason to its SLO failure class. Callers

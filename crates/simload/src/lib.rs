@@ -11,9 +11,13 @@
 //!   rate, Poisson, MMPP-style bursty on/off, diurnal curve, recorded
 //!   replay) drawn from a dedicated `simcore` RNG stream, so the event
 //!   stream is byte-reproducible and shard-invariant;
+//! * [`OpenLoop`] — the one open-loop cell harness: it draws the
+//!   schedule from a named stream, injects each op at its instant
+//!   ([`inject`]), charges latency from the scheduled instant, and
+//!   folds the measurement window into one [`SloTracker`]. The
+//!   elastic, geo and consistency runners are built on it too;
 //! * [`run_open_loop`] — a client fleet that fires blob/table/queue
-//!   operations against `azstore` at the scheduled instants and
-//!   charges latency from those instants;
+//!   operations against `azstore` through the harness;
 //! * [`SloTracker`] — mergeable SLO accounting (deadline violations,
 //!   goodput, p50/p95/p99/p99.9) on `simlab`'s exact-merge statistics.
 //!
@@ -25,15 +29,17 @@
 
 pub mod arrival;
 pub mod fleet;
+pub mod harness;
 pub mod inject;
 pub mod observe;
 pub mod slo;
 
 pub use arrival::ArrivalProcess;
 pub use fleet::{
-    classify, fire, run_open_loop, seed_workload, spawn_arrivals, LoadCellResult, LoadConfig,
+    classify, fire, fire_once, run_open_loop, seed_workload, LoadCellResult, LoadConfig,
     LoadObserver, ShedRetry, Workload,
 };
+pub use harness::{OpenLoop, OpenLoopCell, OpenLoopResult, Served};
 pub use inject::{inject, Arrival};
 pub use observe::WindowedArrivals;
 pub use slo::{FailClass, SloTracker};
