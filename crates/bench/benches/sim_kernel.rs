@@ -1,9 +1,10 @@
-//! Criterion benches for the DES kernel: raw event throughput, process
-//! spawning, channels and semaphores. These quantify the cost basis of
+//! Criterion benches for the DES kernel: raw event throughput, timer
+//! cancellation, process spawning, channels and semaphores. These quantify the cost basis of
 //! every experiment (a full ModisAzure campaign is ~10⁸ events).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simcore::prelude::*;
+use simcore::EventHandle;
 
 fn bench_timer_events(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernel/timers");
@@ -16,6 +17,39 @@ fn bench_timer_events(c: &mut Criterion) {
                 }
                 sim.run();
                 assert_eq!(sim.events_fired(), n);
+            });
+        });
+    }
+    g.finish();
+}
+
+/// dcnet's rescheduling pattern: `n` live flow completions, and on every
+/// change in the flow set each one is cancelled and pushed again at its
+/// new finish time.
+fn bench_cancel_reschedule(c: &mut Criterion) {
+    const CHANGES: u64 = 100;
+    let mut g = c.benchmark_group("kernel/cancel_reschedule");
+    for n in [100u64, 1_000] {
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
+            b.iter(|| {
+                let sim = Sim::new(6);
+                let s = sim.clone();
+                sim.spawn(async move {
+                    let finish = |i: u64| SimDuration::from_nanos(1_000 + i);
+                    let mut live: Vec<EventHandle> =
+                        (0..n).map(|i| s.schedule_in(finish(i), |_| {})).collect();
+                    for _ in 0..CHANGES {
+                        s.delay(SimDuration::from_nanos(1)).await;
+                        for (i, h) in (0..n).zip(live.iter_mut()) {
+                            s.cancel(*h);
+                            *h = s.schedule_in(finish(i), |_| {});
+                        }
+                    }
+                });
+                sim.run();
+                let stats = sim.kernel_stats();
+                assert_eq!(stats.events_fired, n + CHANGES);
+                assert_eq!(stats.cancelled_pops, n * CHANGES);
             });
         });
     }
@@ -150,6 +184,7 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_timer_events,
+        bench_cancel_reschedule,
         bench_process_ping_pong,
         bench_semaphore_contention,
         bench_spawn_throughput,

@@ -8,7 +8,7 @@
 //! whole simulation — is deterministic.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
 use simcore::prelude::*;
@@ -68,6 +68,10 @@ struct NetState {
     sim: Sim,
     links: RefCell<Vec<LinkEntry>>,
     flows: RefCell<BTreeMap<u64, FlowRt>>,
+    /// Active flows crossing each link, once per crossing, in no order.
+    /// Links without active flows have no entry: a stamp holds two
+    /// links per blob, and few are busy at once.
+    link_flows: RefCell<HashMap<usize, Vec<u64>>>,
     next_flow: Cell<u64>,
     recomputes: Cell<u64>,
     completed: Cell<u64>,
@@ -90,6 +94,7 @@ impl Network {
                 sim: sim.clone(),
                 links: RefCell::new(Vec::new()),
                 flows: RefCell::new(BTreeMap::new()),
+                link_flows: RefCell::default(),
                 next_flow: Cell::new(0),
                 recomputes: Cell::new(0),
                 completed: Cell::new(0),
@@ -171,6 +176,12 @@ impl Network {
         let done = Signal::new();
         let seed_links: Vec<usize> = path.iter().map(|l| l.0).collect();
         {
+            let mut index = self.st.link_flows.borrow_mut();
+            for &l in &seed_links {
+                index.entry(l).or_default().push(id);
+            }
+        }
+        {
             self.st.flows.borrow_mut().insert(
                 id,
                 FlowRt {
@@ -222,36 +233,7 @@ impl Network {
     /// background-traffic-heavy Fig 5 scenario from O(all flows²) per
     /// change into O(component²).
     fn recompute_component(&self, seed_links: &[usize]) {
-        let member_ids: Vec<u64> = {
-            let flows = self.st.flows.borrow();
-            let mut in_links: std::collections::HashSet<usize> =
-                seed_links.iter().copied().collect();
-            let mut member: std::collections::HashSet<u64> = std::collections::HashSet::new();
-            let mut members_ordered: Vec<u64> = Vec::new();
-            // Fixpoint over the flow-link bipartite graph; scanning the
-            // BTreeMap keeps membership order deterministic.
-            loop {
-                let mut grew = false;
-                for (id, f) in flows.iter() {
-                    if member.contains(id) {
-                        continue;
-                    }
-                    if f.links.iter().any(|l| in_links.contains(l)) {
-                        member.insert(*id);
-                        members_ordered.push(*id);
-                        for &l in &f.links {
-                            in_links.insert(l);
-                        }
-                        grew = true;
-                    }
-                }
-                if !grew {
-                    break;
-                }
-            }
-            members_ordered.sort_unstable();
-            members_ordered
-        };
+        let member_ids = self.component_of(seed_links);
         // Settle only the affected flows: everyone else's rate is
         // unchanged, so their progress stays linear and needs no
         // checkpoint.
@@ -271,12 +253,46 @@ impl Network {
         self.reallocate(&member_ids);
     }
 
+    /// Ids of the flows reachable from `seed_links` through shared
+    /// links, sorted, so the solver sees them in the order a scan of the
+    /// flow map would give.
+    fn component_of(&self, seed_links: &[usize]) -> Vec<u64> {
+        let flows = self.st.flows.borrow();
+        let index = self.st.link_flows.borrow();
+        if !seed_links.iter().any(|l| index.contains_key(l)) {
+            // An isolated flow finished: nothing shares its links.
+            return Vec::new();
+        }
+        // Walk the flow-link bipartite graph through the link index,
+        // visiting every link once.
+        let mut seen: HashSet<usize> = seed_links.iter().copied().collect();
+        let mut stack: Vec<usize> = seen.iter().copied().collect();
+        let mut members: Vec<u64> = Vec::new();
+        while let Some(l) = stack.pop() {
+            for &id in index.get(&l).into_iter().flatten() {
+                members.push(id);
+                for &next in &flows[&id].links {
+                    if seen.insert(next) {
+                        stack.push(next);
+                    }
+                }
+            }
+        }
+        members.sort_unstable();
+        members.dedup();
+        members
+    }
+
     /// Allocate rates for `member_ids` and reschedule their completions.
     /// Each call is a bandwidth-share update: every affected flow gets a
     /// fresh max-min rate.
     fn reallocate(&self, member_ids: &[u64]) {
         self.st.recomputes.set(self.st.recomputes.get() + 1);
         simtrace::counter("net.rate_updates", 1);
+        if member_ids.is_empty() {
+            // An isolated flow finished: nothing is left to re-solve.
+            return;
+        }
         let specs: Vec<FlowSpec> = {
             let flows = self.st.flows.borrow();
             member_ids
@@ -300,7 +316,7 @@ impl Network {
             let Some(f) = flows.get_mut(id) else { continue };
             f.rate = rate;
             if let Some(ev) = f.completion.take() {
-                ev.cancel();
+                self.st.sim.cancel(ev);
             }
             if rate > 0.0 {
                 let eta = SimDuration::from_secs_f64(f.remaining / rate);
@@ -333,7 +349,18 @@ impl Network {
         let finished = {
             let mut flows = self.st.flows.borrow_mut();
             match flows.get_mut(&id) {
-                Some(f) if f.remaining <= DONE_EPS => flows.remove(&id),
+                Some(f) if f.remaining <= DONE_EPS => {
+                    let mut index = self.st.link_flows.borrow_mut();
+                    for l in &f.links {
+                        let on = index.get_mut(l).expect("flow indexed on its links");
+                        let at = on.iter().position(|&x| x == id);
+                        on.swap_remove(at.expect("flow indexed on its links"));
+                        if on.is_empty() {
+                            index.remove(l);
+                        }
+                    }
+                    flows.remove(&id)
+                }
                 Some(f) => {
                     // Float drift left a sliver: reschedule from here.
                     let remaining = f.remaining;
@@ -506,7 +533,7 @@ mod tests {
         // staggered over the first 0.5 s, pipe saturated throughout).
         let makespan = sim.now().as_secs_f64();
         // DONE_EPS settling slack can shave nanoseconds off the ideal 50 s.
-        assert!(makespan >= 49.9 && makespan < 50.6, "makespan={makespan}");
+        assert!((49.9..50.6).contains(&makespan), "makespan={makespan}");
     }
 
     #[test]
@@ -550,6 +577,10 @@ mod tests {
         // cannot have run at 100 B/s the whole time.
         let d1 = h1.try_take().unwrap().duration().as_secs_f64();
         assert!(d1 > 6.0 + 1e-9, "f1 unaffected by the chain: {d1}");
+        assert!(
+            net.st.link_flows.borrow().is_empty(),
+            "finished flows left indexed"
+        );
     }
 
     #[test]

@@ -3,58 +3,93 @@
 //! Simulation processes are plain `async fn`s. They are **not** `Send`:
 //! a whole simulation lives on one thread (parallelism in this project
 //! happens *across* independent simulations, one per sweep point). The
-//! only cross-thread-capable piece is the waker, because [`std::task::Waker`]
-//! requires `Send + Sync`; we satisfy that with an `Arc`-backed ready queue
-//! (a `std::sync::Mutex<VecDeque>` that is in practice uncontended).
+//! ready queue is a `RefCell<VecDeque>` owned by that thread, so spawns,
+//! timer wakes and wakes from the simulation's own thread take no lock:
+//!
+//! * Spawns and task-id wakes ([`Executor::wake`], used by the event core
+//!   for timers armed inside a task poll) push straight onto it.
+//! * A [`std::task::Waker`] must be `Send + Sync`, so it cannot hold the
+//!   queue itself. It holds the executor's id and reaches the queue
+//!   through a thread-local registry of the executors alive on the
+//!   current thread.
+//! * A waker woken on any other thread finds no registry entry and
+//!   pushes to the executor's `Mutex` inbox instead. The executor moves
+//!   the inbox into its queue before it polls the next task.
+//!
+//! On the owning thread the queue is strictly FIFO in wake order.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::task::{Context, RawWakerVTable, Wake, Waker};
 
 /// Identifier of a spawned task (slot index in the task slab).
 pub(crate) type TaskId = usize;
 
-/// Queue of tasks that have been woken and must be polled before virtual
-/// time advances.
-pub(crate) struct ReadyQueue {
-    queue: Mutex<VecDeque<TaskId>>,
+/// Ready queue of one executor, shared with this thread's registry.
+type ReadyQueue = Rc<RefCell<VecDeque<TaskId>>>;
+
+thread_local! {
+    /// Executors alive on this thread, oldest first, with their queues.
+    static QUEUES: RefCell<Vec<(u64, ReadyQueue)>> = const { RefCell::new(Vec::new()) };
 }
 
-impl ReadyQueue {
-    fn new() -> Arc<Self> {
-        Arc::new(ReadyQueue {
-            queue: Mutex::new(VecDeque::new()),
-        })
-    }
+static NEXT_EXECUTOR: AtomicU64 = AtomicU64::new(0);
 
-    pub(crate) fn push(&self, id: TaskId) {
-        self.queue
-            .lock()
-            .expect("ready queue poisoned")
-            .push_back(id);
-    }
+/// Wakes that arrive from other threads. The ids live under the mutex;
+/// `pending` only spares the owning thread a lock per poll. A remote
+/// wake sets it (`Release`) after its push, and the owner clears it
+/// before taking the lock, so a push it misses leaves the flag set for
+/// the next check.
+#[derive(Default)]
+struct Inbox {
+    pending: AtomicBool,
+    ids: Mutex<Vec<TaskId>>,
+}
 
-    fn pop(&self) -> Option<TaskId> {
-        self.queue.lock().expect("ready queue poisoned").pop_front()
+impl Inbox {
+    fn ids(&self) -> MutexGuard<'_, Vec<TaskId>> {
+        // A panic elsewhere cannot leave a `Vec` push half done.
+        self.ids.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// Waker for one task: waking pushes the task id onto the ready queue.
+/// Waker for one task: waking puts the task id on its executor's queue.
 struct TaskWaker {
     id: TaskId,
-    ready: Arc<ReadyQueue>,
+    exec: u64,
+    inbox: Arc<Inbox>,
+}
+
+impl TaskWaker {
+    fn push(&self) {
+        let local = QUEUES
+            .try_with(|qs| {
+                // Newest first: the running simulation is usually the
+                // most recently created one on its thread.
+                let qs = qs.borrow();
+                let q = qs.iter().rev().find(|(e, _)| *e == self.exec);
+                q.map(|(_, q)| q.borrow_mut().push_back(self.id)).is_some()
+            })
+            .unwrap_or(false);
+        if !local {
+            self.inbox.ids().push(self.id);
+            self.inbox.pending.store(true, Ordering::Release);
+        }
+    }
 }
 
 impl Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        self.ready.push(self.id);
+        self.push();
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.ready.push(self.id);
+        self.push();
     }
 }
 
@@ -69,23 +104,38 @@ enum Slot {
     Running,
 }
 
+/// Identity of the waker of the task being polled: its data pointer and
+/// vtable, compared the way [`Waker::will_wake`] compares two wakers.
+type Polling = (TaskId, *const (), &'static RawWakerVTable);
+
 /// The task slab plus ready queue. Owned by the simulation, `!Send`.
 pub(crate) struct Executor {
+    id: u64,
     slots: RefCell<Vec<Slot>>,
-    free_head: RefCell<Option<TaskId>>,
-    ready: Arc<ReadyQueue>,
-    live: std::cell::Cell<usize>,
-    spawned_total: std::cell::Cell<u64>,
+    free_head: Cell<Option<TaskId>>,
+    ready: ReadyQueue,
+    inbox: Arc<Inbox>,
+    polling: Cell<Option<Polling>>,
+    live: Cell<usize>,
+    spawned_total: Cell<u64>,
+    polls: Cell<u64>,
 }
 
 impl Executor {
     pub(crate) fn new() -> Self {
+        let id = NEXT_EXECUTOR.fetch_add(1, Ordering::Relaxed);
+        let ready = ReadyQueue::default();
+        QUEUES.with(|qs| qs.borrow_mut().push((id, Rc::clone(&ready))));
         Executor {
+            id,
             slots: RefCell::new(Vec::new()),
-            free_head: RefCell::new(None),
-            ready: ReadyQueue::new(),
-            live: std::cell::Cell::new(0),
-            spawned_total: std::cell::Cell::new(0),
+            free_head: Cell::new(None),
+            ready,
+            inbox: Arc::default(),
+            polling: Cell::new(None),
+            live: Cell::new(0),
+            spawned_total: Cell::new(0),
+            polls: Cell::new(0),
         }
     }
 
@@ -99,18 +149,37 @@ impl Executor {
         self.spawned_total.get()
     }
 
+    /// Total task polls performed (simulation statistic).
+    pub(crate) fn polls(&self) -> u64 {
+        self.polls.get()
+    }
+
+    /// The task being polled, if `waker` is that task's own waker. A
+    /// future polled with any other waker (outside a task poll, or under
+    /// a combinator that installs its own) gets `None`.
+    pub(crate) fn polling_task(&self, waker: &Waker) -> Option<TaskId> {
+        let (id, data, vtable) = self.polling.get()?;
+        (waker.data() == data && std::ptr::eq(waker.vtable(), vtable)).then_some(id)
+    }
+
+    /// Queue task `id` for polling, exactly as waking its waker on this
+    /// thread would. A stale id (the task finished) is ignored when
+    /// popped, like a stale waker.
+    pub(crate) fn wake(&self, id: TaskId) {
+        self.ready.borrow_mut().push_back(id);
+    }
+
     /// Insert a task and mark it ready for its first poll.
     pub(crate) fn spawn(&self, future: LocalFuture) -> TaskId {
         let id = {
             let mut slots = self.slots.borrow_mut();
-            let mut free = self.free_head.borrow_mut();
-            match *free {
+            match self.free_head.get() {
                 Some(id) => {
                     let next = match slots[id] {
                         Slot::Vacant { next_free } => next_free,
                         _ => unreachable!("free list points at non-vacant slot"),
                     };
-                    *free = next;
+                    self.free_head.set(next);
                     id
                 }
                 None => {
@@ -121,21 +190,30 @@ impl Executor {
         };
         let waker = Waker::from(Arc::new(TaskWaker {
             id,
-            ready: Arc::clone(&self.ready),
+            exec: self.id,
+            inbox: Arc::clone(&self.inbox),
         }));
         self.slots.borrow_mut()[id] = Slot::Occupied { future, waker };
         self.live.set(self.live.get() + 1);
         self.spawned_total.set(self.spawned_total.get() + 1);
-        self.ready.push(id);
+        self.wake(id);
         id
     }
 
-    /// Poll every ready task until the ready queue drains. Returns the
-    /// number of polls performed. Tasks spawned or woken during polling are
-    /// processed in the same drain (still at the same virtual time).
-    pub(crate) fn drain_ready(&self) -> u64 {
-        let mut polls = 0;
-        while let Some(id) = self.ready.pop() {
+    /// Next task to poll: remote wakes first join the queue's tail.
+    fn pop_ready(&self) -> Option<TaskId> {
+        if self.inbox.pending.load(Ordering::Acquire) {
+            self.inbox.pending.store(false, Ordering::Relaxed);
+            self.ready.borrow_mut().extend(self.inbox.ids().drain(..));
+        }
+        self.ready.borrow_mut().pop_front()
+    }
+
+    /// Poll every ready task until the ready queue drains. Tasks spawned
+    /// or woken during polling are processed in the same drain (still at
+    /// the same virtual time).
+    pub(crate) fn drain_ready(&self) {
+        while let Some(id) = self.pop_ready() {
             // Take the future out so the slab is not borrowed across the
             // poll (the poll may spawn new tasks or wake this one).
             let taken = {
@@ -160,32 +238,41 @@ impl Executor {
             let Some((mut future, waker)) = taken else {
                 continue;
             };
-            polls += 1;
+            self.polls.set(self.polls.get() + 1);
+            let outer = self
+                .polling
+                .replace(Some((id, waker.data(), waker.vtable())));
             let mut cx = Context::from_waker(&waker);
-            match future.as_mut().poll(&mut cx) {
-                Poll::Ready(()) => self.release(id),
-                Poll::Pending => {
-                    self.slots.borrow_mut()[id] = Slot::Occupied { future, waker };
-                }
+            let done = future.as_mut().poll(&mut cx).is_ready();
+            self.polling.set(outer);
+            if done {
+                self.release(id);
+            } else {
+                self.slots.borrow_mut()[id] = Slot::Occupied { future, waker };
             }
         }
-        polls
     }
 
     fn release(&self, id: TaskId) {
-        let mut slots = self.slots.borrow_mut();
-        let mut free = self.free_head.borrow_mut();
-        slots[id] = Slot::Vacant { next_free: *free };
-        *free = Some(id);
+        self.slots.borrow_mut()[id] = Slot::Vacant {
+            next_free: self.free_head.get(),
+        };
+        self.free_head.set(Some(id));
         self.live.set(self.live.get() - 1);
+    }
+}
+
+impl Drop for Executor {
+    fn drop(&mut self) {
+        // Wakes after this point go to the inbox, which nobody reads.
+        let _ = QUEUES.try_with(|qs| qs.borrow_mut().retain(|(e, _)| *e != self.id));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-    use std::rc::Rc;
+    use std::task::Poll;
 
     #[test]
     fn spawn_and_complete_immediately_ready_task() {

@@ -49,7 +49,8 @@ pub mod sync;
 pub mod time;
 
 pub use sim::{
-    Delay, EventHandle, JoinHandle, KernelEvent, KernelHook, KernelHookId, ReservedSleep, Sim,
+    Delay, EventHandle, JoinHandle, KernelEvent, KernelHook, KernelHookId, KernelStats,
+    ReservedSleep, Sim,
 };
 pub use time::{SimDuration, SimTime};
 

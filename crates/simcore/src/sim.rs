@@ -14,36 +14,35 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::executor::Executor;
+use crate::executor::{Executor, TaskId};
 use crate::time::{SimDuration, SimTime};
 
 /// What a fired event does.
 enum Action {
-    /// Wake a suspended task.
+    /// Wake a suspended task through its waker.
     Wake(Waker),
+    /// Wake the task with this id: what [`Delay`] arms when it is polled
+    /// by its own task, so a timer wake clones no waker.
+    WakeTask(TaskId),
     /// Run an arbitrary callback against the simulation.
     Call(Box<dyn FnOnce(&Sim)>),
 }
 
-struct EventEntry {
+/// Heap key of one scheduled event; its action waits in slab slot
+/// `slot`, which still holds `seq` while the event is live.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
     at: SimTime,
     seq: u64,
-    cancelled: Rc<Cell<bool>>,
-    action: Action,
+    slot: u32,
 }
 
-impl PartialEq for EventEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for EventEntry {}
-impl PartialOrd for EventEntry {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for EventEntry {
+impl Ord for Key {
     // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
     // first. seq breaks ties FIFO, which makes runs reproducible.
     fn cmp(&self, other: &Self) -> Ordering {
@@ -51,26 +50,73 @@ impl Ord for EventEntry {
     }
 }
 
-/// Handle to a scheduled event that allows cancelling it before it fires.
-///
-/// Cancellation is lazy: the heap entry stays in place and is skipped when
-/// popped. This is how in-flight network transfers get rescheduled when
-/// fair-share rates change.
-#[derive(Clone)]
-pub struct EventHandle {
-    cancelled: Rc<Cell<bool>>,
+/// One slab slot: the action of the event with sequence number `seq`,
+/// or `None` once that event fired or was cancelled (the slot is then on
+/// the free list, and a later event may take it with a new `seq`).
+struct EventSlot {
+    seq: u64,
+    action: Option<Action>,
 }
 
-impl EventHandle {
-    /// Cancel the event. Idempotent; harmless after the event fired.
-    pub fn cancel(&self) {
-        self.cancelled.set(true);
+/// The event queue: a heap of [`Key`]s over a slab of actions.
+///
+/// A cancelled event's action leaves the slab at once; its key stays in
+/// the heap as a tombstone (its slot no longer holds its `seq` and
+/// action) until it is popped, or until tombstones pass half the heap
+/// and [`compact`](Self::compact) drops them all. The heap therefore
+/// stays within twice the live events plus one; the slab, whose slots
+/// are freed on cancel, within the most events ever live at once.
+#[derive(Default)]
+struct Events {
+    heap: BinaryHeap<Key>,
+    slots: Vec<EventSlot>,
+    free: Vec<u32>,
+    tombstones: usize,
+}
+
+impl Events {
+    fn is_live(slots: &[EventSlot], key: Key) -> bool {
+        let slot = &slots[key.slot as usize];
+        slot.seq == key.seq && slot.action.is_some()
     }
 
-    /// True once [`cancel`](Self::cancel) has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.get()
+    /// Rebuild the heap without its tombstones; returns how many went.
+    fn compact(&mut self) -> usize {
+        let before = self.heap.len();
+        let slots = &self.slots;
+        self.heap.retain(|&k| Self::is_live(slots, k));
+        self.tombstones = 0;
+        before - self.heap.len()
     }
+}
+
+/// Handle to a scheduled event, for cancelling it through
+/// [`Sim::cancel`] before it fires. It is a plain `Copy` pair (slab
+/// slot, sequence number), so holding one costs nothing; a handle whose
+/// event already fired or was cancelled cancels nothing, even once its
+/// slot holds a newer event. This is how in-flight network transfers
+/// get rescheduled when fair-share rates change.
+#[derive(Debug, Clone, Copy)]
+pub struct EventHandle {
+    slot: u32,
+    seq: u64,
+}
+
+/// Event-core counters of one simulation (see [`Sim::kernel_stats`]):
+/// what the simulator itself did, independent of the model it ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelStats {
+    /// Events fired (same as [`Sim::events_fired`]).
+    pub events_fired: u64,
+    /// Cancelled events removed from the heap, whether skipped when
+    /// popped or purged by compaction.
+    pub cancelled_pops: u64,
+    /// Most keys the event heap held at once, tombstones included.
+    pub heap_peak: u64,
+    /// Processes spawned (same as [`Sim::tasks_spawned`]).
+    pub spawns: u64,
+    /// Task polls performed.
+    pub polls: u64,
 }
 
 /// Kernel-level happenings observable through [`Sim::add_kernel_hook`].
@@ -99,9 +145,11 @@ pub struct KernelHookId(u64);
 struct SimInner {
     now: Cell<SimTime>,
     seq: Cell<u64>,
-    heap: RefCell<BinaryHeap<EventEntry>>,
+    events: RefCell<Events>,
     exec: Executor,
     events_fired: Cell<u64>,
+    cancelled_pops: Cell<u64>,
+    heap_peak: Cell<u64>,
     trace_hash: Cell<u64>,
     base_seed: u64,
     hooks: RefCell<Vec<(u64, KernelHook)>>,
@@ -122,9 +170,11 @@ impl Sim {
             inner: Rc::new(SimInner {
                 now: Cell::new(SimTime::ZERO),
                 seq: Cell::new(0),
-                heap: RefCell::new(BinaryHeap::new()),
+                events: RefCell::default(),
                 exec: Executor::new(),
                 events_fired: Cell::new(0),
+                cancelled_pops: Cell::new(0),
+                heap_peak: Cell::new(0),
                 trace_hash: Cell::new(0xcbf2_9ce4_8422_2325),
                 base_seed: seed,
                 hooks: RefCell::new(Vec::new()),
@@ -200,22 +250,67 @@ impl Sim {
         self.push_entry(at, seq, action)
     }
 
-    /// Insert one heap entry. Checked in release builds too: an event in
-    /// the past would silently move the clock backwards.
+    /// Insert one event. Checked in release builds too: an event in the
+    /// past would silently move the clock backwards.
     fn push_entry(&self, at: SimTime, seq: u64, action: Action) -> EventHandle {
         assert!(
             at >= self.now(),
             "event scheduled in the past: {at:?} < {:?}",
             self.now()
         );
-        let cancelled = Rc::new(Cell::new(false));
-        self.inner.heap.borrow_mut().push(EventEntry {
-            at,
-            seq,
-            cancelled: Rc::clone(&cancelled),
-            action,
-        });
-        EventHandle { cancelled }
+        let mut ev = self.inner.events.borrow_mut();
+        let slot = match ev.free.pop() {
+            Some(slot) => {
+                ev.slots[slot as usize] = EventSlot {
+                    seq,
+                    action: Some(action),
+                };
+                slot
+            }
+            None => {
+                let slot = u32::try_from(ev.slots.len()).expect("event slab overflow");
+                ev.slots.push(EventSlot {
+                    seq,
+                    action: Some(action),
+                });
+                slot
+            }
+        };
+        ev.heap.push(Key { at, seq, slot });
+        let len = ev.heap.len() as u64;
+        if len > self.inner.heap_peak.get() {
+            self.inner.heap_peak.set(len);
+        }
+        EventHandle { slot, seq }
+    }
+
+    /// Cancel a scheduled event: its action is dropped at once and it
+    /// will not fire. A no-op if the event already fired or was
+    /// cancelled, even when its slab slot now holds a newer event.
+    pub fn cancel(&self, handle: EventHandle) {
+        let action = {
+            let mut ev = self.inner.events.borrow_mut();
+            let ev = &mut *ev;
+            let slot = &mut ev.slots[handle.slot as usize];
+            if slot.seq != handle.seq {
+                return;
+            }
+            let Some(action) = slot.action.take() else {
+                return;
+            };
+            ev.free.push(handle.slot);
+            ev.tombstones += 1;
+            if 2 * ev.tombstones > ev.heap.len() {
+                let purged = ev.compact() as u64;
+                self.inner
+                    .cancelled_pops
+                    .set(self.inner.cancelled_pops.get() + purged);
+            }
+            action
+        };
+        // Dropped outside the borrow: a callback's captures may
+        // themselves cancel events when dropped.
+        drop(action);
     }
 
     /// Reserve a block of `n` consecutive sequence numbers and return the
@@ -298,46 +393,66 @@ impl Sim {
         }
     }
 
-    /// Wake `waker` at absolute time `at`; returns a cancellation handle.
-    /// Building block for cancellable waits (network transfer rescheduling).
-    pub fn wake_at(&self, at: SimTime, waker: Waker) -> EventHandle {
-        self.push_event(at, Action::Wake(waker))
+    /// Pop tombstones off the top of the heap; returns the earliest
+    /// live key, left in place.
+    fn next_live(&self, ev: &mut Events) -> Option<Key> {
+        let mut skipped = 0;
+        let next = loop {
+            match ev.heap.peek() {
+                Some(&key) if Events::is_live(&ev.slots, key) => break Some(key),
+                Some(_) => {
+                    ev.heap.pop();
+                    skipped += 1;
+                }
+                None => break None,
+            }
+        };
+        ev.tombstones -= skipped;
+        self.inner
+            .cancelled_pops
+            .set(self.inner.cancelled_pops.get() + skipped as u64);
+        next
     }
 
     fn fire_next(&self) -> bool {
-        loop {
-            let entry = match self.inner.heap.borrow_mut().pop() {
-                Some(e) => e,
-                None => return false,
+        let (key, action) = {
+            let mut ev = self.inner.events.borrow_mut();
+            let Some(key) = self.next_live(&mut ev) else {
+                return false;
             };
-            if entry.cancelled.get() {
-                continue;
-            }
-            debug_assert!(entry.at >= self.now());
-            self.inner.now.set(entry.at);
-            self.inner
-                .events_fired
-                .set(self.inner.events_fired.get() + 1);
-            // Fold (time, seq) into the trace fingerprint (FNV-1a style);
-            // two runs with the same seed must produce identical hashes.
-            let mut h = self.inner.trace_hash.get();
-            for word in [entry.at.as_nanos(), entry.seq] {
-                h ^= word;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-            self.inner.trace_hash.set(h);
-            match entry.action {
-                Action::Wake(w) => {
-                    self.emit_kernel(KernelEvent::WakeFired);
-                    w.wake();
-                }
-                Action::Call(f) => {
-                    self.emit_kernel(KernelEvent::CallFired);
-                    f(self);
-                }
-            }
-            return true;
+            ev.heap.pop();
+            ev.free.push(key.slot);
+            let action = ev.slots[key.slot as usize].action.take();
+            (key, action.expect("live key without an action"))
+        };
+        debug_assert!(key.at >= self.now());
+        self.inner.now.set(key.at);
+        self.inner
+            .events_fired
+            .set(self.inner.events_fired.get() + 1);
+        // Fold (time, seq) into the trace fingerprint (FNV-1a style);
+        // two runs with the same seed must produce identical hashes.
+        let mut h = self.inner.trace_hash.get();
+        for word in [key.at.as_nanos(), key.seq] {
+            h ^= word;
+            h = h.wrapping_mul(0x1000_0000_01b3);
         }
+        self.inner.trace_hash.set(h);
+        match action {
+            Action::Wake(w) => {
+                self.emit_kernel(KernelEvent::WakeFired);
+                w.wake();
+            }
+            Action::WakeTask(id) => {
+                self.emit_kernel(KernelEvent::WakeFired);
+                self.inner.exec.wake(id);
+            }
+            Action::Call(f) => {
+                self.emit_kernel(KernelEvent::CallFired);
+                f(self);
+            }
+        }
+        true
     }
 
     /// Run until no ready tasks and no pending events remain.
@@ -355,9 +470,9 @@ impl Sim {
     pub fn run_until(&self, until: SimTime) {
         loop {
             self.inner.exec.drain_ready();
-            let next_at = match self.inner.heap.borrow().peek() {
-                Some(e) => e.at,
-                None => break,
+            let next = self.next_live(&mut self.inner.events.borrow_mut());
+            let Some(Key { at: next_at, .. }) = next else {
+                break;
             };
             if next_at > until {
                 break;
@@ -390,6 +505,27 @@ impl Sim {
         self.inner.exec.live_tasks()
     }
 
+    /// Event-core counters so far. They are plain counters kept on
+    /// every run, so reading them costs nothing extra.
+    pub fn kernel_stats(&self) -> KernelStats {
+        KernelStats {
+            events_fired: self.events_fired(),
+            cancelled_pops: self.inner.cancelled_pops.get(),
+            heap_peak: self.inner.heap_peak.get(),
+            spawns: self.tasks_spawned(),
+            polls: self.inner.exec.polls(),
+        }
+    }
+
+    /// Timer wake for the current poll: by task id when `cx` is the
+    /// polling task's own context, else through a clone of its waker.
+    fn timer_action(&self, cx: &Context<'_>) -> Action {
+        match self.inner.exec.polling_task(cx.waker()) {
+            Some(id) => Action::WakeTask(id),
+            None => Action::Wake(cx.waker().clone()),
+        }
+    }
+
     /// Order-sensitive fingerprint of every event fired so far. Equal
     /// fingerprints across two runs certify identical schedules.
     pub fn trace_fingerprint(&self) -> u64 {
@@ -399,9 +535,13 @@ impl Sim {
 
 /// Future returned by [`Sim::delay`] / [`Sim::sleep_until`].
 ///
+/// Its first pending poll schedules one wake event. Polled by a task's
+/// own context, the event wakes that task by id, which queues it exactly
+/// as its waker would; otherwise the event holds a clone of the waker.
 /// Dropping an unfired `Delay` (e.g. losing a `select2` race) cancels
-/// its scheduled wake event, so abandoned timeouts cannot hold the
-/// simulation clock hostage.
+/// the event through [`Sim::cancel`]: the event leaves the slab at once,
+/// so abandoned timeouts cannot hold the simulation clock hostage, and a
+/// dropped timer cannot wake a task that no longer waits on it.
 pub struct Delay {
     sim: Sim,
     deadline: SimTime,
@@ -417,8 +557,8 @@ impl Future for Delay {
             return Poll::Ready(());
         }
         if self.event.is_none() {
-            let deadline = self.deadline;
-            let handle = self.sim.wake_at(deadline, cx.waker().clone());
+            let action = self.sim.timer_action(cx);
+            let handle = self.sim.push_event(self.deadline, action);
             self.event = Some(handle);
         }
         Poll::Pending
@@ -427,8 +567,8 @@ impl Future for Delay {
 
 impl Drop for Delay {
     fn drop(&mut self) {
-        if let Some(ev) = &self.event {
-            ev.cancel();
+        if let Some(ev) = self.event.take() {
+            self.sim.cancel(ev);
         }
     }
 }
@@ -449,7 +589,7 @@ impl Future for ReservedSleep {
             return Poll::Ready(());
         }
         self.armed = true;
-        let action = Action::Wake(cx.waker().clone());
+        let action = self.sim.timer_action(cx);
         self.sim.push_entry(self.deadline, self.seq, action);
         Poll::Pending
     }
@@ -491,6 +631,9 @@ impl<T> Future for JoinHandle<T> {
         Poll::Pending
     }
 }
+
+#[cfg(test)]
+mod kernel_tests;
 
 #[cfg(test)]
 mod tests {
@@ -540,8 +683,8 @@ mod tests {
         let h = sim.schedule_in(D::from_secs(1), move |_| l.borrow_mut().push(1));
         let l2 = log.clone();
         sim.schedule_in(D::from_secs(2), move |_| l2.borrow_mut().push(2));
-        h.cancel();
-        assert!(h.is_cancelled());
+        sim.cancel(h);
+        sim.cancel(h);
         sim.run();
         assert_eq!(*log.borrow(), vec![2]);
     }
@@ -675,7 +818,7 @@ mod tests {
     #[should_panic(expected = "never reserved")]
     fn unreserved_seq_is_rejected() {
         let sim = Sim::new(1);
-        let _ = sim.sleep_until_reserved(SimTime::ZERO, 0);
+        drop(sim.sleep_until_reserved(SimTime::ZERO, 0));
     }
 
     #[test]
